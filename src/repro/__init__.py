@@ -37,35 +37,53 @@ Packages:
   :mod:`repro.domains` — substrates.
 """
 
-from repro.config import (
-    CorrelationConfig,
-    DimensionConfig,
-    LouvainConfig,
-    PreprocessConfig,
-    PruningConfig,
-    SmashConfig,
-)
-from repro.core import Campaign, Herd, SmashPipeline, SmashResult
-from repro.errors import (
-    CheckpointError,
-    ConfigError,
-    GraphError,
-    GroundTruthError,
-    ObsError,
-    PipelineError,
-    ReproError,
-    ScenarioError,
-    StreamError,
-    TraceError,
-)
-from repro.stream import (
-    CampaignTracker,
-    RollingWindow,
-    StreamingSmash,
-    StreamUpdate,
-    TrackedCampaign,
-    TrackerConfig,
-)
+from importlib import import_module
+
+#: Public name -> the module that defines it.  Names resolve lazily on
+#: first access (PEP 562), so ``import repro.core.shardworker`` does not
+#: pay for the streaming engine, the generator or the evaluation code.
+_EXPORTS = {
+    "CorrelationConfig": "repro.config",
+    "DimensionConfig": "repro.config",
+    "LouvainConfig": "repro.config",
+    "PreprocessConfig": "repro.config",
+    "PruningConfig": "repro.config",
+    "SmashConfig": "repro.config",
+    "Campaign": "repro.core",
+    "Herd": "repro.core",
+    "SmashPipeline": "repro.core",
+    "SmashResult": "repro.core",
+    "CheckpointError": "repro.errors",
+    "ConfigError": "repro.errors",
+    "GraphError": "repro.errors",
+    "GroundTruthError": "repro.errors",
+    "ObsError": "repro.errors",
+    "PipelineError": "repro.errors",
+    "ReproError": "repro.errors",
+    "ScenarioError": "repro.errors",
+    "StreamError": "repro.errors",
+    "TraceError": "repro.errors",
+    "CampaignTracker": "repro.stream",
+    "RollingWindow": "repro.stream",
+    "StreamingSmash": "repro.stream",
+    "StreamUpdate": "repro.stream",
+    "TrackedCampaign": "repro.stream",
+    "TrackerConfig": "repro.stream",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __version__ = "1.0.0"
 

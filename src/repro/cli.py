@@ -168,7 +168,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             enabled_secondary_dimensions=tuple(args.dimensions.split(","))
         )
     config.validate()
-    result = SmashPipeline(config).run(trace, whois=whois, redirects=redirects)
+    with SmashPipeline(config) as pipeline:
+        result = pipeline.run(trace, whois=whois, redirects=redirects)
     write_result_json(result, args.out)
     print(
         f"{len(result.campaigns)} campaigns, "
@@ -487,9 +488,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     # reproduce not just "a" result but the one the unsharded pipeline
     # computes (sharded == single-pass is already test-enforced; chaos
     # extends the equality through crashes, hangs and torn spills).
-    clean = SmashPipeline(config.replace(shards=1)).run(
-        dataset.trace, whois=dataset.whois, redirects=dataset.redirects
-    )
+    with SmashPipeline(config.replace(shards=1)) as pipeline:
+        clean = pipeline.run(dataset.trace, whois=dataset.whois, redirects=dataset.redirects)
     clean_digest = _result_digest(clean)
     print(f"clean run: {len(clean.campaigns)} campaigns, digest {clean_digest[:12]}")
 
@@ -511,9 +511,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     chaos_digest = None
     failure = None
     try:
-        chaos = SmashPipeline(config.replace(fault_plan=plan, metrics=registry)).run(
-            dataset.trace, whois=dataset.whois, redirects=dataset.redirects
-        )
+        with SmashPipeline(config.replace(fault_plan=plan, metrics=registry)) as pipeline:
+            chaos = pipeline.run(dataset.trace, whois=dataset.whois, redirects=dataset.redirects)
         chaos_digest = _result_digest(chaos)
     except ReproError as error:
         failure = f"{type(error).__name__}: {error}"
@@ -600,8 +599,8 @@ def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
         choices=["serial", "pool", "subprocess"],
         default="pool",
         help="how sharded map jobs execute: on the worker pool (default), "
-        "inline (serial), or one subprocess per shard exchanging only store "
-        "paths and content digests; every dispatch kind produces "
+        "inline (serial), or on long-lived worker subprocesses exchanging only "
+        "store paths and content digests; every dispatch kind produces "
         "byte-identical output",
     )
     parser.add_argument(

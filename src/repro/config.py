@@ -307,8 +307,8 @@ class SmashConfig:
     #: :mod:`repro.core.dispatch`): ``"pool"`` (the default) runs them on
     #: the mine's shared ``workers``/``executor`` pool, ``"serial"``
     #: forces an inline loop in the coordinator, and ``"subprocess"``
-    #: runs one fresh interpreter per shard speaking the remote-worker
-    #: contract (store paths + partial digests only).  Like ``workers``
+    #: runs them on the pipeline's long-lived worker processes speaking the
+    #: remote-worker contract (store paths + partial digests only).  Like ``workers``
     #: and ``shards``, a pure execution strategy: every dispatcher
     #: produces byte-identical results.
     dispatch: str = "pool"

@@ -10,9 +10,13 @@ the dispatcher's business alone:
 * :class:`PoolDispatcher` — the mine's shared
   :class:`~repro.util.parallel.JobPool` (thread or process executor),
   the PR 7 behaviour;
-* :class:`SubprocessDispatcher` — one fresh interpreter per shard,
-  driven through ``python -m repro.core.shardworker`` with the spec on
-  stdin and one JSON result line on stdout.
+* :class:`SubprocessDispatcher` — a pool of long-lived
+  ``python -m repro.core.shardworker`` processes speaking a line
+  protocol: one JSON spec per line on a worker's stdin, one JSON result
+  line per job on its stdout.  The pool spawns lazily and lives until
+  :meth:`~ShardDispatcher.close` (the owning
+  :class:`~repro.core.pipeline.SmashPipeline` closes it), so a stream
+  pays interpreter start-up and imports once, not on every advance.
 
 Every dispatcher is retry-aware: each shard job runs under a
 :class:`~repro.core.faults.RetryPolicy` via
@@ -44,8 +48,13 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import subprocess
 import sys
+import tempfile
+import threading
+import time
+import weakref
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from functools import partial
 
@@ -267,19 +276,133 @@ class PoolDispatcher(ShardDispatcher):
         )
 
 
-class SubprocessDispatcher(ShardDispatcher):
-    """One fresh interpreter per shard job, stdin spec / stdout result.
+def _worker_env() -> dict[str, str]:
+    """The coordinator's environment, with this package importable."""
+    import repro
 
-    The worker (:mod:`repro.core.shardworker`) receives nothing but the
-    JSON spec: inputs are named by store paths + digests, outputs are
-    spilled to the shared :class:`~repro.stream.store.PartialStore` and
-    reported back as ``(name, digest)``.  Worker-side failures come back
-    as a structured ``{"error": {...}}`` object and are re-raised here
-    under the coordinator's own exception types, so a corrupt partition
-    fails a subprocess-dispatched mine exactly like an in-process one.
-    A worker that crashes or exceeds ``policy.timeout`` raises a
-    retryable :class:`~repro.errors.WorkerError` instead, consumed by
-    the retry loop.
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = package_root if not existing else package_root + os.pathsep + existing
+    return env
+
+
+class _Worker:
+    """One long-lived ``python -m repro.core.shardworker`` process.
+
+    Specs go down its stdin one JSON line each and every job's reply
+    comes back as one JSON line on its stdout.  stderr goes to an
+    anonymous temporary file, so a worker never blocks on a full pipe
+    and the tail of what one job wrote there explains a worker death.
+    """
+
+    def __init__(self, env: dict[str, str]) -> None:
+        self.stderr = tempfile.TemporaryFile()
+        self.process = subprocess.Popen(
+            [sys.executable, "-m", "repro.core.shardworker"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=self.stderr,
+            env=env,
+        )
+        self._replies = select.poll()
+        self._replies.register(self.process.stdout, select.POLLIN)
+        self._pending = b""
+
+    @property
+    def pid(self) -> int:
+        return self.process.pid
+
+    def stderr_size(self) -> int:
+        return os.fstat(self.stderr.fileno()).st_size
+
+    def stderr_tail(self, since: int) -> str:
+        """The last lines written to stderr after offset *since*."""
+        # pread leaves the file offset, which the worker shares, alone.
+        size = self.stderr_size()
+        start = max(since, size - 4096)
+        text = os.pread(self.stderr.fileno(), size - start, start)
+        return " | ".join(text.decode("utf-8", "replace").strip().splitlines()[-8:])
+
+    def request(self, spec: dict, deadline: float) -> bytes | None:
+        """Send *spec* and read its reply line; ``None`` when the worker is gone.
+
+        Raises :class:`TimeoutError` when no full line arrives by
+        *deadline* (a :func:`time.monotonic` instant).
+        """
+        try:
+            self.process.stdin.write(json.dumps(spec).encode("utf-8") + b"\n")
+            self.process.stdin.flush()
+        except OSError:  # broken pipe: the worker already died
+            return None
+        fd = self.process.stdout.fileno()
+        while b"\n" not in self._pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._replies.poll(remaining * 1000):
+                raise TimeoutError
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                return None
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line
+
+    def close_stdin(self) -> None:
+        try:
+            self.process.stdin.close()
+        except OSError:
+            pass
+
+    def stop(self, kill: bool = False, grace: float = 5.0) -> None:
+        """Reap the worker: EOF on stdin asks it to exit, a kill forces it."""
+        process = self.process
+        if kill:
+            process.kill()
+        self.close_stdin()
+        try:
+            process.wait(timeout=grace)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()
+        process.stdout.close()
+        self.stderr.close()
+
+
+def _stop_workers(live: list[_Worker]) -> None:
+    """Stop and reap every worker in *live*, emptying it in place."""
+    workers = list(live)
+    live.clear()
+    # EOF to all first, so they exit side by side rather than in turn.
+    for worker in workers:
+        worker.close_stdin()
+    for worker in workers:
+        worker.stop()
+
+
+class SubprocessDispatcher(ShardDispatcher):
+    """Shard jobs on a pool of long-lived worker interpreters.
+
+    Each worker is a ``python -m repro.core.shardworker`` process
+    (:mod:`repro.core.shardworker`) that reads one JSON spec per line on
+    stdin and answers each with one JSON result line on stdout.  Workers
+    spawn lazily, when a batch finds none idle, so a batch of *n* specs
+    runs on at most ``min(workers, n)`` processes; they then serve every
+    later batch — every advance of a stream — until :meth:`close`.  A
+    ``weakref.finalize`` stops them if the dispatcher is dropped unclosed,
+    and a worker exits on stdin EOF, so a coordinator that dies leaves no
+    orphans.
+
+    Specs name inputs by store paths + digests and results name the
+    spilled partial by ``(name, digest)``: workers share nothing with the
+    coordinator but the filesystem.  Worker-side failures come back as a
+    structured ``{"error": {...}}`` reply and are re-raised here under the
+    coordinator's own exception types, so a corrupt partition fails a
+    subprocess-dispatched mine exactly like an in-process one.  A worker
+    that dies (EOF) or sends a line that is not a JSON object raises a
+    retryable :class:`~repro.errors.WorkerError`; one that misses
+    ``policy.timeout`` is killed and raises
+    :class:`~repro.errors.ShardTimeoutError`.  Either way that worker is
+    reaped and a fresh one spawns for the retry.
     """
 
     kind = "subprocess"
@@ -294,7 +417,40 @@ class SubprocessDispatcher(ShardDispatcher):
     ) -> None:
         super().__init__(policy=policy, plan=plan, recorder=recorder)
         self.workers = resolve_workers(workers)
-        self._pool: ThreadPoolExecutor | None = None
+        self._threads: ThreadPoolExecutor | None = None
+        self._lock = threading.Lock()
+        self._env: dict[str, str] | None = None
+        self._idle: list[_Worker] = []
+        #: Every live worker.  The finalizer holds this very list, so it
+        #: is only ever mutated in place.
+        self._live: list[_Worker] = []
+        weakref.finalize(self, _stop_workers, self._live)
+
+    @property
+    def pids(self) -> tuple[int, ...]:
+        """Process ids of the live workers, sorted."""
+        with self._lock:
+            return tuple(sorted(worker.pid for worker in self._live))
+
+    def _checkout(self) -> _Worker:
+        with self._lock:
+            if self._idle:
+                return self._idle.pop()
+        if self._env is None:
+            self._env = _worker_env()
+        worker = _Worker(self._env)
+        with self._lock:
+            self._live.append(worker)
+        return worker
+
+    def _checkin(self, worker: _Worker) -> None:
+        with self._lock:
+            self._idle.append(worker)
+
+    def _retire(self, worker: _Worker, kill: bool) -> None:
+        with self._lock:
+            self._live.remove(worker)
+        worker.stop(kill=kill)
 
     def _run_outcome(self, spec: dict) -> dict:
         return run_job_outcome(spec, self.policy, self.plan, attempt_call=self._run_one)
@@ -302,15 +458,15 @@ class SubprocessDispatcher(ShardDispatcher):
     def _run_batch(self, specs: list[dict]) -> list[dict]:
         if len(specs) <= 1 or self.workers <= 1:
             return _fail_fast_serial(specs, self._run_outcome)
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
+        if self._threads is None:
+            self._threads = ThreadPoolExecutor(max_workers=self.workers)
         # Collect every future's outcome rather than bailing on the
         # first exception: a fatal outcome cancels whatever has not
         # started yet, in-flight siblings are drained (never left
         # running detached), and ``run`` raises the lowest-numbered
         # shard's error from the assembled batch.
         futures = {
-            self._pool.submit(self._run_outcome, spec): index
+            self._threads.submit(self._run_outcome, spec): index
             for index, spec in enumerate(specs)
         }
         outcomes: list[dict] = [{"cancelled": True} for _ in specs]
@@ -329,44 +485,39 @@ class SubprocessDispatcher(ShardDispatcher):
                         sibling.cancel()
         return outcomes
 
-    @staticmethod
-    def _worker_env() -> dict[str, str]:
-        import repro
-
-        env = dict(os.environ)
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            package_root if not existing else package_root + os.pathsep + existing
-        )
-        return env
-
     def _run_one(self, spec: dict) -> dict:
         shard = spec.get("shard")
         timeout = self.policy.timeout
+        worker = self._checkout()
+        since = worker.stderr_size()
         try:
-            completed = subprocess.run(
-                [sys.executable, "-m", "repro.core.shardworker"],
-                input=json.dumps(spec),
-                capture_output=True,
-                text=True,
-                env=self._worker_env(),
-                timeout=timeout,
-            )
-        except subprocess.TimeoutExpired as error:
-            # subprocess.run kills the child before re-raising, so the
-            # worker is gone; surface a retryable timeout naming the
-            # shard and the configured budget instead of the raw
-            # TimeoutExpired.
+            line = worker.request(spec, time.monotonic() + timeout)
+        except TimeoutError:
+            self._retire(worker, kill=True)
             raise ShardTimeoutError(
                 f"shard {shard} worker timed out after {timeout:.0f}s "
                 "(config.shard_timeout)"
-            ) from error
+            ) from None
+        if line is None:
+            # EOF: the interpreter died (crash, OOM kill, injected
+            # os._exit).  Retryable — a fresh worker on a fresh spill
+            # name sees none of this attempt's state.
+            tail = worker.stderr_tail(since)
+            self._retire(worker, kill=False)
+            raise WorkerError(
+                f"shard {shard} worker exited with {worker.process.returncode}: {tail}"
+            )
         try:
-            result = json.loads(completed.stdout)
-        except (json.JSONDecodeError, ValueError):
+            result = json.loads(line)
+        except ValueError:
             result = None
-        if isinstance(result, dict) and "error" in result:
+        if not isinstance(result, dict):
+            # The reply stream is out of step; this worker cannot be
+            # trusted with another job.
+            self._retire(worker, kill=True)
+            raise WorkerError(f"shard {shard} worker sent a malformed reply: {line[:200]!r}")
+        self._checkin(worker)
+        if "error" in result:
             error = result["error"]
             kind = str(error.get("kind", ""))
             message = str(error.get("message", ""))
@@ -378,21 +529,16 @@ class SubprocessDispatcher(ShardDispatcher):
                 f"shard {shard} worker failed: {kind}: {message}",
                 retryable,
             )
-        if completed.returncode != 0 or not isinstance(result, dict):
-            # No parseable reply: the interpreter died (crash, OOM kill,
-            # injected os._exit).  Retryable — a fresh worker on a fresh
-            # spill name sees none of this attempt's state.
-            tail = completed.stderr.strip().splitlines()[-8:]
-            raise WorkerError(
-                f"shard {shard} worker exited with {completed.returncode}: "
-                + " | ".join(tail)
-            )
         return result
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Stop and reap every worker; a later batch spawns fresh ones."""
+        if self._threads is not None:
+            self._threads.shutdown(wait=True)
+            self._threads = None
+        with self._lock:
+            self._idle.clear()
+        _stop_workers(self._live)
 
 
 def make_dispatcher(

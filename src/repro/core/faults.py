@@ -86,8 +86,8 @@ FAULT_KINDS: tuple[str, ...] = RECOVERABLE_KINDS + FATAL_KINDS
 _CRASH_EXIT_CODES = {"crash_before_spill": 81, "crash_after_spill": 82, "hang": 86}
 
 #: Set by :func:`mark_worker_process` in ``repro.core.shardworker``:
-#: crash faults may only ``os._exit`` a process whose whole job is the
-#: one shard job (never a coordinator or pool worker thread).
+#: crash faults may only ``os._exit`` a process that exists only to run
+#: shard jobs (never a coordinator or pool worker thread).
 _IN_WORKER = False
 
 

@@ -874,6 +874,9 @@ class LegacyPipeline:
         self.config = config or SmashConfig()
         self.config.validate()
 
+    def close(self) -> None:
+        """Nothing to release: the legacy core owns no worker processes."""
+
     def mine(
         self,
         trace: HttpTrace,

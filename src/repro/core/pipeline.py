@@ -38,12 +38,14 @@ from functools import partial
 from repro.config import SmashConfig
 from repro.core.ashmining import MiningOutcome, mine_herds
 from repro.core.correlation import correlate_ids
+from repro.core.dispatch import ShardDispatcher, SubprocessDispatcher, make_dispatcher
 from repro.core.dimensions.client import build_client_graph_from_indices
 from repro.core.dimensions.ipset import build_ipset_graph
 from repro.core.dimensions.timedim import build_time_graph
 from repro.core.dimensions.urifile import build_urifile_graph
 from repro.core.dimensions.urlparam import build_urlparam_graph
 from repro.core.dimensions.whoisdim import build_whois_graph
+from repro.core.faults import RetryPolicy
 from repro.core.inference import infer_campaigns_ids
 from repro.core.interning import Interner
 from repro.core.preprocess import PreprocessReport, preprocess
@@ -53,7 +55,7 @@ from repro.errors import PipelineError
 from repro.graph.wgraph import WeightedGraph
 from repro.obs.metrics import NULL_RECORDER
 from repro.httplog.trace import HttpTrace
-from repro.synth.oracles import RedirectOracle
+from repro.httplog.redirects import RedirectOracle
 from repro.util.parallel import JobPool, resolve_workers
 from repro.whois.registry import WhoisRegistry
 
@@ -458,8 +460,14 @@ class MinedDimensions:
 class SmashPipeline:
     """Run SMASH over an HTTP trace.
 
-    The pipeline is stateless between ``run`` calls; all tunables live in
-    the :class:`~repro.config.SmashConfig` given at construction.
+    All tunables live in the :class:`~repro.config.SmashConfig` given at
+    construction.  The pipeline holds no result state between ``run``
+    calls, but it may own one execution resource: under
+    ``dispatch="subprocess"`` the shard-worker processes of its
+    :class:`~repro.core.dispatch.SubprocessDispatcher`, spawned by the
+    first sharded mine and reused by every later one.  :meth:`close` (or
+    leaving a ``with`` block) stops them; a pipeline that is dropped
+    unclosed stops them when it is garbage-collected.
     """
 
     def __init__(self, config: SmashConfig | None = None) -> None:
@@ -469,6 +477,46 @@ class SmashPipeline:
         #: no-op :data:`~repro.obs.NULL_RECORDER` unless the config
         #: carries a live :class:`~repro.obs.MetricsRegistry`.
         self.metrics = self.config.metrics or NULL_RECORDER
+        self._subprocess: SubprocessDispatcher | None = None
+
+    def shard_dispatcher(self, config: SmashConfig, pool: JobPool) -> ShardDispatcher:
+        """The map-phase dispatcher for one sharded mine under *config*.
+
+        Serial and pool dispatchers are cheap and built per mine; the
+        subprocess dispatcher is kept, so its workers serve every mine
+        of this pipeline.  Its retry policy and fault plan follow each
+        mine's *config*; a different worker budget replaces it.
+        """
+        policy = RetryPolicy.from_config(config)
+        if config.dispatch != "subprocess":
+            return make_dispatcher(
+                config.dispatch,
+                pool=pool,
+                policy=policy,
+                plan=config.fault_plan,
+                recorder=self.metrics,
+            )
+        dispatcher = self._subprocess
+        if dispatcher is None or dispatcher.workers != resolve_workers(config.workers):
+            self.close()
+            dispatcher = self._subprocess = SubprocessDispatcher(
+                workers=config.workers, recorder=self.metrics
+            )
+        dispatcher.policy = policy
+        dispatcher.plan = config.fault_plan
+        return dispatcher
+
+    def close(self) -> None:
+        """Stop any shard-worker processes (idempotent; the pipeline stays usable)."""
+        if self._subprocess is not None:
+            self._subprocess.close()
+            self._subprocess = None
+
+    def __enter__(self) -> "SmashPipeline":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     # -- stage 1+2: preprocess and mine --------------------------------------------
 

@@ -38,7 +38,7 @@ from repro.core.interning import Interner
 from repro.core.results import CandidateAsh, PruneReport
 from repro.domains.names import normalize_server_name
 from repro.httplog.trace import HttpTrace
-from repro.synth.oracles import RedirectOracle
+from repro.httplog.redirects import RedirectOracle
 
 
 def _referrer_netloc(referrer: str) -> str:

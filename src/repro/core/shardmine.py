@@ -78,9 +78,12 @@ remaining places the coordinator held raw requests:
 **Dispatch seam.**  How map jobs execute is delegated to a
 :class:`~repro.core.dispatch.ShardDispatcher` (``SmashConfig.dispatch``):
 inline on the shared pool (the default), serially in the coordinator, or
-one subprocess per shard speaking the store-paths + digests contract a
-remote worker would use.  Reduce, pair accumulation and Louvain always
-run on the coordinator's pool; dispatch only moves the map phase.
+on long-lived worker subprocesses speaking the store-paths + digests
+contract a remote worker would use.  The pipeline hands out the
+dispatcher (:meth:`~repro.core.pipeline.SmashPipeline.shard_dispatcher`)
+so those workers outlive one mine.  Reduce, pair accumulation and
+Louvain always run on the coordinator's pool; dispatch only moves the
+map phase.
 """
 
 from __future__ import annotations
@@ -96,8 +99,7 @@ from pathlib import Path
 from repro.config import SmashConfig
 from repro.core.ashmining import MiningOutcome, mine_herds
 from repro.core.dimensions.client import build_client_graph_from_indices
-from repro.core.dispatch import make_dispatcher
-from repro.core.faults import RetryPolicy, fire_after_spill, fire_before_load
+from repro.core.faults import fire_after_spill, fire_before_load
 from repro.core.dimensions.ipset import build_ipset_graph
 from repro.core.dimensions.timedim import DEFAULT_WINDOW_SECONDS, build_time_graph
 from repro.core.dimensions.urifile import build_urifile_graph
@@ -881,14 +883,7 @@ def mine_sharded(
         spill_root = tempfile.mkdtemp(prefix="repro-shardmine-")
     spill = PartialStore(spill_root)
     spill.claim()
-    dispatcher = make_dispatcher(
-        config.dispatch,
-        pool=pool,
-        workers=config.workers,
-        policy=RetryPolicy.from_config(config),
-        plan=config.fault_plan,
-        recorder=recorder,
-    )
+    dispatcher = pipeline.shard_dispatcher(config, pool)
     try:
         # -- phase A + reduce: sharded preprocess ---------------------------------
         with recorder.span("pipeline.mine.preprocess") as pre_span:
@@ -941,37 +936,36 @@ def mine_sharded(
                         }
                     specs.append({"shard": index, "source": source, **common})
             num_shards = len(specs)
-            results = dispatcher.run(specs)
+            results = sorted(dispatcher.run(specs), key=lambda entry: entry["shard"])
             for input_name in input_partials:
                 spill.delete(input_name)
+            if recorder.enabled:
+                # Map-phase spans belong to preprocess, beside (not
+                # inside) the merge that follows.
+                for result in results:
+                    attributes = {
+                        "shard": result["shard"],
+                        "requests": result["requests"],
+                        "spill_bytes": result["spilled"],
+                    }
+                    if "peak_rss_kb" in result:
+                        attributes["worker_peak_rss_kb"] = result["peak_rss_kb"]
+                    recorder.record_span("pipeline.mine.shard_index", result["seconds"], attributes)
+                    recorder.counter(
+                        "smash_shard_index_partials_total",
+                        "Per-shard index partials produced by the map phase.",
+                    ).inc()
+                    recorder.counter(
+                        "smash_shard_spill_bytes_total",
+                        "Bytes of sharded-mine partials spilled, by kind.",
+                        labels=("kind",),
+                    ).labels(kind="index").inc(result["spilled"])
 
             merged = _MergedIndexes()
             with recorder.span("pipeline.mine.shard_merge") as merge_span:
-                for result in sorted(results, key=lambda entry: entry["shard"]):
+                for result in results:
                     merged.merge(spill.load(result["name"], result["digest"]))
                     spill.delete(result["name"])
-                    if recorder.enabled:
-                        attributes = {
-                            "shard": result["shard"],
-                            "requests": result["requests"],
-                            "spill_bytes": result["spilled"],
-                        }
-                        if "peak_rss_kb" in result:
-                            attributes["worker_peak_rss_kb"] = result["peak_rss_kb"]
-                        recorder.record_span(
-                            "pipeline.mine.shard_index",
-                            result["seconds"],
-                            attributes,
-                        )
-                        recorder.counter(
-                            "smash_shard_index_partials_total",
-                            "Per-shard index partials produced by the map phase.",
-                        ).inc()
-                        recorder.counter(
-                            "smash_shard_spill_bytes_total",
-                            "Bytes of sharded-mine partials spilled, by kind.",
-                            labels=("kind",),
-                        ).labels(kind="index").inc(result["spilled"])
             referrer_of: dict[str, str] | None = None
             if out_of_core:
                 prepared, report, kept, referrer_of = _assemble_hollow(
@@ -1130,5 +1124,4 @@ def mine_sharded(
             ),
         )
     finally:
-        dispatcher.close()
         spill.cleanup()

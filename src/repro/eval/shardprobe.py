@@ -43,27 +43,7 @@ import resource
 import sys
 import time
 
-
-def _reset_peak_rss() -> bool:
-    """Reset the kernel's VmHWM counter for this process (Linux only)."""
-    try:
-        with open("/proc/self/clear_refs", "w") as handle:
-            handle.write("5")
-        return True
-    except OSError:
-        return False
-
-
-def _current_peak_rss_kb() -> int:
-    """VmHWM in KB — peak RSS since the last :func:`_reset_peak_rss`."""
-    try:
-        with open("/proc/self/status") as handle:
-            for line in handle:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1])
-    except OSError:
-        pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+from repro.obs.peakrss import peak_rss_kb, reset_peak_rss
 
 
 def run_probe(spec: dict) -> dict[str, object]:
@@ -107,7 +87,7 @@ def run_probe(spec: dict) -> dict[str, object]:
         import gc
 
         gc.collect()
-        phase_peaks = _reset_peak_rss()
+        phase_peaks = reset_peak_rss()
         tick = time.perf_counter()
         mined = pipeline.mine(
             None,
@@ -119,13 +99,16 @@ def run_probe(spec: dict) -> dict[str, object]:
     else:
         whois, redirects = partition.whois, partition.redirects
         num_requests = len(partition.trace)
-        phase_peaks = _reset_peak_rss()
+        phase_peaks = reset_peak_rss()
         tick = time.perf_counter()
         mined = pipeline.mine(partition.trace, whois=whois)
     mine_seconds = time.perf_counter() - tick
-    mine_peak_rss_kb = _current_peak_rss_kb()
+    mine_peak_rss_kb = peak_rss_kb()
     result = pipeline.finish(mined, redirects)
     total_seconds = time.perf_counter() - tick
+    # Reap the shard workers first: RUSAGE_CHILDREN counts only children
+    # that have been waited for.
+    pipeline.close()
 
     document = json.dumps(result_to_dict(result), sort_keys=True)
     usage = resource.getrusage(resource.RUSAGE_SELF)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 from repro.errors import ObsError
@@ -169,6 +168,9 @@ def serve_prometheus_once(
     the caller learns an ephemeral port, handles one request, closes.
     Returns the address it served on.
     """
+    # Imported here: http.server is heavy, and nothing else needs it.
+    from http.server import BaseHTTPRequestHandler, HTTPServer
+
     body = to_prometheus_text(registry).encode("utf-8")
 
     class _Handler(BaseHTTPRequestHandler):

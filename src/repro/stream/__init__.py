@@ -40,33 +40,60 @@ Quick start::
         print(update.day, update.num_campaigns, [c.uid for c in update.active])
 """
 
-from repro.stream.alerts import AlertSink, CallbackSink, ConsoleSink, JsonlSink, ListSink
-from repro.stream.checkpoint import CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
-from repro.stream.engine import StreamingSmash, StreamUpdate
-from repro.stream.scoring import (
-    SEVERITIES,
-    SEVERITY_RANK,
-    AlertPolicy,
-    BlacklistEvidence,
-    CampaignScorer,
-    EvidenceSource,
-    IdsEvidence,
-    RiskFeatures,
-    ScorerConfig,
-    StaticEvidence,
-    scenario_evidence,
-    scenario_ids_evidence,
-    severity_at_least,
-)
-from repro.stream.store import PartitionRef, TraceStore, partition_digest
-from repro.stream.tracker import (
-    CampaignTracker,
-    TrackedCampaign,
-    TrackerConfig,
-    TrackEvent,
-    jaccard,
-)
-from repro.stream.window import DayPartition, RollingWindow
+from importlib import import_module
+
+#: Public name -> the submodule that defines it, resolved lazily on first
+#: access (PEP 562): a shard worker that needs only the trace store never
+#: imports the engine, the tracker or the scorer.
+_EXPORTS = {
+    "AlertSink": "alerts",
+    "CallbackSink": "alerts",
+    "ConsoleSink": "alerts",
+    "JsonlSink": "alerts",
+    "ListSink": "alerts",
+    "CHECKPOINT_VERSION": "checkpoint",
+    "load_checkpoint": "checkpoint",
+    "save_checkpoint": "checkpoint",
+    "StreamingSmash": "engine",
+    "StreamUpdate": "engine",
+    "SEVERITIES": "scoring",
+    "SEVERITY_RANK": "scoring",
+    "AlertPolicy": "scoring",
+    "BlacklistEvidence": "scoring",
+    "CampaignScorer": "scoring",
+    "EvidenceSource": "scoring",
+    "IdsEvidence": "scoring",
+    "RiskFeatures": "scoring",
+    "ScorerConfig": "scoring",
+    "StaticEvidence": "scoring",
+    "scenario_evidence": "scoring",
+    "scenario_ids_evidence": "scoring",
+    "severity_at_least": "scoring",
+    "PartitionRef": "store",
+    "TraceStore": "store",
+    "partition_digest": "store",
+    "CampaignTracker": "tracker",
+    "TrackedCampaign": "tracker",
+    "TrackerConfig": "tracker",
+    "TrackEvent": "tracker",
+    "jaccard": "tracker",
+    "DayPartition": "window",
+    "RollingWindow": "window",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.stream' has no attribute {name!r}")
+    value = getattr(import_module(f"repro.stream.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __all__ = [
     "AlertPolicy",

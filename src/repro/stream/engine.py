@@ -51,7 +51,7 @@ from repro.stream.scoring import AlertPolicy, CampaignScorer, EvidenceSource, Sc
 from repro.stream.store import TraceStore
 from repro.stream.tracker import CampaignTracker, TrackedCampaign, TrackerConfig, TrackEvent
 from repro.stream.window import DayPartition, RollingWindow
-from repro.synth.oracles import RedirectOracle
+from repro.httplog.redirects import RedirectOracle
 from repro.whois.registry import WhoisRegistry
 
 #: The paper's operating thresholds (Section V-A1, Appendix C).
@@ -463,7 +463,10 @@ class StreamingSmash:
         return self.pipeline.finish(self._mined[1], combined_redirects, thresh=thresh)
 
     def close(self) -> None:
-        """Close every sink; one failing sink never skips the rest."""
+        """Close every sink and stop the pipeline's shard workers.
+
+        One failing sink never skips the rest, nor the workers.
+        """
         first_error: BaseException | None = None
         for sink in self.sinks:
             try:
@@ -471,6 +474,7 @@ class StreamingSmash:
             except Exception as error:  # noqa: BLE001 - sinks are third-party code
                 if first_error is None:
                     first_error = error
+        self.pipeline.close()
         if first_error is not None:
             raise first_error
 

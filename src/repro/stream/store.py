@@ -47,6 +47,7 @@ from pathlib import Path
 
 from repro.errors import StreamError
 from repro.httplog.loader import read_jsonl, write_jsonl
+from repro.httplog.redirects import RedirectOracle
 from repro.obs.metrics import NULL_RECORDER
 from repro.stream.window import (
     DayPartition,
@@ -54,6 +55,7 @@ from repro.stream.window import (
     whois_from_list,
     whois_to_list,
 )
+from repro.whois.registry import WhoisRegistry
 
 #: Bump on any incompatible change to the partition layout.
 STORE_VERSION = 1
@@ -85,7 +87,7 @@ class PartitionRef:
     once per resume.
     """
 
-    __slots__ = ("day", "digest", "_store", "_partition")
+    __slots__ = ("day", "digest", "_store", "_partition", "_sidecars")
 
     def __init__(
         self,
@@ -98,6 +100,7 @@ class PartitionRef:
         self.digest = digest
         self._store = store
         self._partition = partition
+        self._sidecars: tuple[WhoisRegistry | None, RedirectOracle | None] | None = None
 
     def load(self) -> DayPartition:
         """Materialise the partition (verified against its digest)."""
@@ -105,8 +108,21 @@ class PartitionRef:
             self._partition = self._store.get(self.day, digest=self.digest)
         return self._partition
 
+    def sidecars(self) -> tuple[WhoisRegistry | None, RedirectOracle | None]:
+        """The partition's (whois, redirects), loading it only if never seen."""
+        if self._sidecars is None:
+            partition = self.load()
+            self._sidecars = (partition.whois, partition.redirects)
+        return self._sidecars
+
     def release(self) -> None:
-        """Drop the memoised partition; the on-disk copy remains."""
+        """Drop the memoised partition; the on-disk copy remains.
+
+        The small sidecars, verified with the partition at put or get,
+        stay: :meth:`sidecars` never re-reads a released trace for them.
+        """
+        if self._partition is not None:
+            self._sidecars = (self._partition.whois, self._partition.redirects)
         self._partition = None
 
     def to_dict(self) -> dict[str, object]:
@@ -302,8 +318,6 @@ class TraceStore:
             redirects_path = path / _REDIRECTS_NAME
             redirects = None
             if manifest.get("has_redirects"):
-                from repro.synth.oracles import RedirectOracle
-
                 redirects = RedirectOracle.from_dict(
                     json.loads(redirects_path.read_text())
                 )

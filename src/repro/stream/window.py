@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports window
     from repro.stream.store import PartitionRef, TraceStore
 from repro.httplog.records import HttpRequest
 from repro.httplog.trace import HttpTrace
-from repro.synth.oracles import RedirectOracle
+from repro.httplog.redirects import RedirectOracle
 from repro.whois.record import WhoisRecord
 from repro.whois.registry import WhoisRegistry
 
@@ -189,7 +189,8 @@ class RollingWindow:
         partitions are loaded one at a time and released immediately, so
         at most one day's requests are resident — the out-of-core
         coordinator's way to get the window sidecars without holding the
-        window trace.
+        window trace.  A released ref keeps its sidecars, so only a day
+        this window never held (a resumed one) is read from the store.
         """
         if not self._slots:
             raise StreamError("cannot combine an empty window")
@@ -199,17 +200,17 @@ class RollingWindow:
             whois: WhoisRegistry | None = None
             landing: dict[str, str] = {}
             for slot in self._slots:
-                partition = self._materialise(slot)
-                if partition.whois is not None:
-                    whois = (
-                        partition.whois
-                        if whois is None
-                        else whois.merged_with(partition.whois)
-                    )
-                if partition.redirects is not None:
-                    landing.update(redirects_to_dict(partition.redirects))
-                if not isinstance(slot, DayPartition):
+                if isinstance(slot, DayPartition):
+                    day_whois, day_redirects = slot.whois, slot.redirects
+                else:
+                    # A ref keeps its sidecars when its trace is released,
+                    # so later advances re-read no stored trace for them.
+                    day_whois, day_redirects = slot.sidecars()
                     slot.release()
+                if day_whois is not None:
+                    whois = day_whois if whois is None else whois.merged_with(day_whois)
+                if day_redirects is not None:
+                    landing.update(redirects_to_dict(day_redirects))
             redirects = RedirectOracle(landing_of=landing) if landing else None
             self._sidecars = (whois, redirects)
         return self._sidecars

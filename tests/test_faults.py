@@ -366,20 +366,17 @@ class TestDispatcherRun:
         results = _FakeBatchDispatcher(outcomes).run([{"shard": 0}, {"shard": 1}])
         assert [r["shard"] for r in results] == [0, 1]
 
-    def test_timeout_expired_translates_to_shard_timeout_error(self, monkeypatch):
-        # Satellite fix: raw subprocess.TimeoutExpired must never leak;
+    def test_timeout_expired_translates_to_shard_timeout_error(self):
+        # A reply that misses the budget never surfaces a raw timeout:
         # the error names the shard and the configured budget, and is
-        # retryable (a PipelineError subclass).
-        import repro.core.dispatch as dispatch_module
-
-        def hang_forever(*args, **kwargs):
-            raise subprocess.TimeoutExpired(cmd="worker", timeout=kwargs["timeout"])
-
-        monkeypatch.setattr(dispatch_module.subprocess, "run", hang_forever)
-        dispatcher = SubprocessDispatcher(workers=1, policy=RetryPolicy(timeout=7.0))
+        # retryable (a PipelineError subclass).  The hung worker is
+        # killed and reaped, so the next job gets a fresh one.
+        dispatcher = SubprocessDispatcher(workers=1, policy=RetryPolicy(timeout=1.0))
+        hang = {"shard": 9, "fault": {"kind": "hang", "seconds": 60.0}}
         try:
-            with pytest.raises(ShardTimeoutError, match=r"shard 9 .*7s.*shard_timeout"):
-                dispatcher._run_one({"shard": 9})
+            with pytest.raises(ShardTimeoutError, match=r"shard 9 .*1s.*shard_timeout"):
+                dispatcher._run_one(hang)
+            assert dispatcher.pids == ()
         finally:
             dispatcher.close()
         assert issubclass(ShardTimeoutError, PipelineError)
@@ -390,6 +387,148 @@ class TestDispatcherRun:
         dispatcher = SubprocessDispatcher(workers=1)
         assert dispatcher.policy.max_attempts == 3
         dispatcher.close()
+
+
+# -- the subprocess dispatcher's persistent worker pool ------------------------------
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* is a live (not zombie) process."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.fixture(scope="module")
+def store_specs(dataset, tmp_path_factory):
+    """``make(spill_root)``: two store-direct shard specs over one stored day."""
+    from repro.stream.store import TraceStore
+    from repro.stream.window import DayPartition
+
+    root = tmp_path_factory.mktemp("worker-store")
+    ref = TraceStore(root).put(DayPartition(day=0, trace=dataset.trace))
+
+    def make(spill_root) -> list[dict]:
+        return [
+            {
+                "shard": shard,
+                "source": {
+                    "kind": "store",
+                    "root": str(root),
+                    "partitions": [[0, ref.digest]],
+                    "slice": [shard, 2],
+                },
+                "aggregate": True,
+                "want_patterns": False,
+                "want_windows": False,
+                "want_referrers": False,
+                "window_seconds": 600.0,
+                "spill_root": str(spill_root),
+            }
+            for shard in (0, 1)
+        ]
+
+    return make
+
+
+def _partials(results) -> list[tuple[int, str]]:
+    return [(result["shard"], result["digest"]) for result in results]
+
+
+class TestWorkerPool:
+    def test_crash_mid_job_replaces_worker_byte_identical(self, store_specs, tmp_path):
+        dispatcher = SubprocessDispatcher(workers=2)
+        try:
+            clean = dispatcher.run(store_specs(tmp_path / "clean"))
+            first = dispatcher.pids
+            assert len(first) == 2  # one per shard, spawned by the batch
+            dispatcher.plan = FaultPlan((FaultSpec(shard=0, kind="crash_after_spill", attempt=1),))
+            crashed = dispatcher.run(store_specs(tmp_path / "crashed"))
+            after = dispatcher.pids
+        finally:
+            dispatcher.close()
+        assert _partials(crashed) == _partials(clean)
+        assert [result["attempts"] for result in crashed] == [2, 1]
+        assert crashed[0]["failures"][0]["label"] == "crash"
+        # The crashed worker is gone and the other served on; the retry
+        # ran on it or on a fresh spawn, whichever was free first.
+        (dead,) = set(first) - set(after)
+        assert not _running(dead)
+        assert len(set(first) & set(after)) == 1
+        assert all("peak_rss_kb" in result for result in crashed)
+
+    def test_garbage_reply_is_retryable_worker_error(self, store_specs, tmp_path, monkeypatch):
+        import repro.core.dispatch as dispatch_module
+
+        request = dispatch_module._Worker.request
+        replies = iter([b"\x00 not json"])
+
+        def garbled(worker, spec, deadline):
+            line = request(worker, spec, deadline)
+            return next(replies, line)
+
+        monkeypatch.setattr(dispatch_module._Worker, "request", garbled)
+        dispatcher = SubprocessDispatcher(workers=1)
+        try:
+            with pytest.raises(WorkerError, match="malformed reply") as raised:
+                dispatcher._run_one(store_specs(tmp_path / "a")[0])
+            assert is_retryable(raised.value)
+            assert dispatcher.pids == ()  # the out-of-step worker is gone
+            replies = iter([b"[1, 2]"])
+            (result,) = dispatcher.run(store_specs(tmp_path / "b")[:1])
+        finally:
+            dispatcher.close()
+        assert result["attempts"] == 2
+        assert result["failures"][0]["label"] == "crash"
+
+    def test_close_leaves_no_live_children(self, store_specs, tmp_path):
+        dispatcher = SubprocessDispatcher(workers=2)
+        dispatcher.run(store_specs(tmp_path))
+        pids = dispatcher.pids
+        assert len(pids) == 2 and all(_running(pid) for pid in pids)
+        dispatcher.close()
+        assert dispatcher.pids == ()
+        assert not any(_running(pid) for pid in pids)
+        dispatcher.close()  # idempotent
+
+    def test_killed_coordinator_leaves_no_orphans(self, tmp_path):
+        # SIGKILL skips every finalizer; the workers must notice stdin
+        # EOF on their own and exit.
+        import signal
+        import time
+
+        script = (
+            "import json\n"
+            "from repro.core.dispatch import SubprocessDispatcher\n"
+            "from repro.errors import PipelineError\n"
+            "dispatcher = SubprocessDispatcher(workers=1)\n"
+            "try:\n"
+            "    dispatcher._run_one({'shard': 0})\n"
+            "except PipelineError:\n"
+            "    pass\n"
+            "print(json.dumps(dispatcher.pids), flush=True)\n"
+            "import time; time.sleep(120)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, env=env, cwd=tmp_path
+        )
+        try:
+            pids = json.loads(coordinator.stdout.readline())
+            assert len(pids) == 1 and _running(pids[0])
+        finally:
+            coordinator.send_signal(signal.SIGKILL)
+            coordinator.wait()
+            coordinator.stdout.close()
+        deadline = time.monotonic() + 20.0
+        while _running(pids[0]) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pids[0])
 
 
 # -- end-to-end recovery (in-process dispatchers) -----------------------------------

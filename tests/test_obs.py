@@ -316,6 +316,17 @@ class TestPipelineSpans:
         assert set(stats) >= {"client"}
         assert all("enumerated_pairs" in entry for entry in stats.values())
 
+    def test_shard_index_spans_nest_under_preprocess(self, small_dataset):
+        # Map-phase spans are siblings of the merge, not its children.
+        registry = MetricsRegistry()
+        config = SmashConfig(metrics=registry).replace(shards=3)
+        SmashPipeline(config).mine(small_dataset.trace, whois=small_dataset.whois)
+        (preprocess,) = registry.spans_named("pipeline.mine.preprocess")
+        index_spans = registry.spans_named("pipeline.mine.shard_index")
+        assert [span.attributes["shard"] for span in index_spans] == [0, 1, 2]
+        assert {span.parent for span in index_spans} == {preprocess.index}
+        assert _child_names(registry, "pipeline.mine.shard_merge") == []
+
     def test_enabled_and_disabled_results_identical(self, small_dataset):
         plain = SmashPipeline()
         mined_plain = plain.mine(small_dataset.trace, whois=small_dataset.whois)

@@ -742,6 +742,61 @@ class TestStreamEquivalence:
         partials = TraceStore(store_dir).partials_dir()
         assert not partials.exists() or list(partials.iterdir()) == []
 
+    def test_subprocess_workers_persist_across_advances(self, tmp_path):
+        # The pipeline's worker pool spawns on the first advance and
+        # serves every later one; close() reaps it.
+        base_docs, _ = self._stream_three_days(tmp_path, "base", 1)
+        config = SmashConfig().replace(out_of_core=True, dispatch="subprocess", workers=2)
+        engine = StreamingSmash(
+            window_size=2, shards=2, store_dir=tmp_path / "store_sub", config=config
+        )
+        docs, pids = [], []
+        for dataset in TraceGenerator(small_scenario(seed=7, days=3)).iter_days():
+            docs.append(result_doc(engine.ingest_dataset(dataset).result))
+            pids.append(engine.pipeline._subprocess.pids)
+        engine.close()
+        assert docs == base_docs
+        assert len(pids[0]) == 2 and pids[0] == pids[1] == pids[2]
+        assert engine.pipeline._subprocess is None
+        # Reaped by close(): not even a zombie is left.
+        assert not any(Path(f"/proc/{pid}").exists() for pid in pids[0])
+
+    def test_out_of_core_advances_never_reread_stored_traces(self, tmp_path, monkeypatch):
+        # Released window refs keep their sidecars: after the day is put,
+        # the coordinator reads no stored trace back.  Campaigns and
+        # alerts match the in-memory stream's byte for byte.
+        from repro.stream.alerts import ListSink
+
+        def stream(config, store_dir):
+            sink = ListSink()
+            engine = StreamingSmash(
+                window_size=2, config=config, store_dir=store_dir, sinks=(sink,)
+            )
+            docs = [
+                result_doc(engine.ingest_dataset(dataset).result)
+                for dataset in TraceGenerator(small_scenario(seed=7, days=3)).iter_days()
+            ]
+            engine.close()
+            return docs, [event.to_dict() for event in sink.events], engine.store
+
+        base_docs, base_alerts, _ = stream(SmashConfig(), None)
+        gets: list[object] = []
+        get = TraceStore.get
+
+        def counted(store, day, digest=None):
+            gets.append(store)
+            return get(store, day, digest)
+
+        monkeypatch.setattr(TraceStore, "get", counted)
+        docs, alerts, store = stream(
+            SmashConfig().replace(out_of_core=True, shards=2), tmp_path / "store"
+        )
+        assert docs == base_docs
+        assert alerts == base_alerts and alerts
+        # Shard jobs open their own TraceStore; the engine's is never read.
+        assert [entry for entry in gets if entry is store] == []
+        assert gets  # ...while the in-process shard jobs did load days
+
     def test_out_of_core_stream_requires_store(self):
         with pytest.raises(StreamError, match="trace store"):
             StreamingSmash(
@@ -776,6 +831,26 @@ def _run_python(args: list[str], hash_seed: int, cwd: Path) -> str:
         f"{completed.stdout}\n{completed.stderr}"
     )
     return completed.stdout
+
+
+def test_worker_import_is_lean(tmp_path: Path) -> None:
+    """A shard worker's imports pull in neither the generator, the ground
+    truth, the streaming engine nor ``http.server``; the lazily resolved
+    package names still all resolve."""
+    heavy = ("repro.synth.generator", "repro.groundtruth", "repro.stream.engine", "http.server")
+    loaded = _run_python(
+        [
+            "-c",
+            "import sys, repro.core.shardworker, repro.core.shardmine\n"
+            f"print(sorted(set({heavy!r}) & set(sys.modules)))\n"
+            "import repro, repro.stream\n"
+            "for package in (repro, repro.stream):\n"
+            "    [getattr(package, name) for name in package.__all__]\n",
+        ],
+        hash_seed=0,
+        cwd=tmp_path,
+    )
+    assert loaded.strip() == "[]"
 
 
 @pytest.fixture(scope="module")
