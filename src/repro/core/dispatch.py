@@ -353,14 +353,14 @@ class _Worker:
         except OSError:
             pass
 
-    def stop(self, kill: bool = False, grace: float = 5.0) -> None:
+    def stop(self, kill: bool = False) -> None:
         """Reap the worker: EOF on stdin asks it to exit, a kill forces it."""
         process = self.process
         if kill:
             process.kill()
         self.close_stdin()
         try:
-            process.wait(timeout=grace)
+            process.wait(timeout=5.0)
         except subprocess.TimeoutExpired:
             process.kill()
             process.wait()
