@@ -21,24 +21,20 @@ import time
 from repro.core.pipeline import SmashPipeline
 
 
-def _timed_mine(pipeline, dataset, **kwargs):
+def _timed_mine(config, dataset, **changes):
+    pipeline = SmashPipeline(config.replace(**changes))
     start = time.perf_counter()
-    mined = pipeline.mine(dataset.trace, whois=dataset.whois, **kwargs)
+    mined = pipeline.mine(dataset.trace, whois=dataset.whois)
     return mined, time.perf_counter() - start
 
 
 def test_parallel_mine_equivalence_and_speed(runner, emit):
     dataset = runner.dataset("2011")
-    pipeline = SmashPipeline(runner.config.replace(workers=1))
     workers = max(4, os.cpu_count() or 1)
 
-    serial, serial_s = _timed_mine(pipeline, dataset)
-    threaded, thread_s = _timed_mine(
-        pipeline, dataset, workers=workers, executor="thread"
-    )
-    processed, process_s = _timed_mine(
-        pipeline, dataset, workers=workers, executor="process"
-    )
+    serial, serial_s = _timed_mine(runner.config, dataset, workers=1)
+    threaded, thread_s = _timed_mine(runner.config, dataset, workers=workers, executor="thread")
+    processed, process_s = _timed_mine(runner.config, dataset, workers=workers, executor="process")
 
     # Identical results at any worker count — the determinism guarantee.
     for parallel in (threaded, processed):

@@ -590,8 +590,9 @@ def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
         "--shards",
         type=int,
         default=1,
-        help="shard the mine into N map-reduce partitions with spill-to-store "
-        "partials (default 1 = single pass); every shard count produces "
+        help="preprocess in N map-reduce shards with spill-to-store index "
+        "partials, then mine every dimension as the single pass does "
+        "(default 1 = single pass); every shard count produces "
         "byte-identical output",
     )
     parser.add_argument(
@@ -606,9 +607,10 @@ def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--out-of-core",
         action="store_true",
-        help="reduce shard partials into per-dimension indexes without ever "
-        "assembling the full window trace in the coordinator (requires "
-        "--store for streaming; output is byte-identical either way)",
+        help="mine through the sharded preprocess even at --shards 1; when "
+        "streaming, shard jobs load their own days from the store so the "
+        "coordinator never holds the window trace (requires --store for "
+        "streaming; output is byte-identical either way)",
     )
     parser.add_argument(
         "--pure-python",

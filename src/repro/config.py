@@ -291,13 +291,14 @@ class SmashConfig:
     #: ``"process"`` (see :mod:`repro.util.parallel` for the trade-offs).
     executor: str = "thread"
 
-    #: Shard count for the map-reduce mine path
+    #: Shard count for the map-reduce preprocess
     #: (:mod:`repro.core.shardmine`).  ``1`` (the default) mines in one
     #: pass; ``N > 1`` splits the trace into N contiguous shards
     #: (day-partition-aligned under the streaming engine), extracts
-    #: per-shard index partials with spill-to-store, and runs
-    #: partition-parallel pair counting on the ``workers``/``executor``
-    #: pool.  Sharding is an execution strategy, not a semantic knob:
+    #: per-shard index partials with spill-to-store, and merges them
+    #: into an index-only prepared trace that feeds the same
+    #: per-dimension stage as the single pass.  Sharding is an
+    #: execution strategy, not a semantic knob:
     #: every shard count produces byte-identical results, so (like
     #: ``workers``) the field is top-level and excluded from the
     #: incremental-mining content signatures.
@@ -313,13 +314,13 @@ class SmashConfig:
     #: produces byte-identical results.
     dispatch: str = "pool"
 
-    #: Run the sharded mine out-of-core: shard jobs load their own day
-    #: partitions from the :class:`~repro.stream.store.TraceStore` and
-    #: the reduce streams spilled index partials into per-dimension
-    #: graphs without ever assembling the full prepared trace in the
-    #: coordinator.  Byte-identical to the in-memory path; only peak
-    #: coordinator RSS changes.  Requires a trace store on the streaming
-    #: path (``smash stream --store``).
+    #: Run the mine out-of-core: it always takes the sharded path (even
+    #: at ``shards=1``), and on the streaming path shard jobs load their
+    #: own day partitions from the :class:`~repro.stream.store.TraceStore`,
+    #: so the coordinator never holds the window's requests.  Like every
+    #: sharded mine the reduce is index-only.  Byte-identical to the
+    #: single pass; only peak coordinator RSS changes.  Requires a trace
+    #: store on the streaming path (``smash stream --store``).
     out_of_core: bool = False
 
     #: Default for the streaming engine's per-dimension mining cache: on

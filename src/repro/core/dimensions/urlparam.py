@@ -41,7 +41,7 @@ Pattern = tuple[str, ...]
 
 def parameter_patterns_by_server(trace: HttpTrace) -> dict[str, frozenset[Pattern]]:
     """server -> set of sorted query-parameter-name tuples observed."""
-    # An index-only trace (out-of-core sharded mine) carries the
+    # An index-only trace (sharded mine) carries the
     # shard-merged pattern index instead of raw requests.
     injected = getattr(trace, "_patterns_by_server", None)
     if injected is not None:
@@ -57,20 +57,13 @@ def parameter_patterns_by_server(trace: HttpTrace) -> dict[str, frozenset[Patter
 def build_urlparam_graph(
     trace: HttpTrace,
     config: DimensionConfig | None = None,
-    accumulate=None,
-    patterns_of: dict[str, frozenset[Pattern]] | None = None,
 ) -> WeightedGraph:
     """Build the parameter-pattern similarity graph for *trace*.
 
     Servers with no parameterised requests become isolated nodes.
-    *patterns_of* short-circuits the request scan with a precomputed
-    (e.g. shard-merged) pattern index; it must equal what
-    :func:`parameter_patterns_by_server` would return for *trace*.
     """
     config = config or DimensionConfig()
-    accumulate = accumulate or accumulate_pair_counts
-    if patterns_of is None:
-        patterns_of = parameter_patterns_by_server(trace)
+    patterns_of = parameter_patterns_by_server(trace)
     # Canonical node order: trace.servers is a frozenset, so iterating it
     # directly would insert nodes in hash order.
     ordered = sorted(trace.servers)
@@ -99,7 +92,7 @@ def build_urlparam_graph(
             rare_groups.append(sorted(members))
 
     stats = PairStats()
-    pair_common = accumulate(
+    pair_common = accumulate_pair_counts(
         rare_groups,
         width,
         cap=config.max_group_size,

@@ -11,9 +11,9 @@ expensive graph work — how the Table II/III threshold sweeps are produced.
 Per-dimension mining is dispatched through ``SECONDARY_GRAPH_BUILDERS``
 (a registry, so extensions can add dimensions without touching ``mine``)
 and can fan out over a thread or process pool via
-``SmashConfig(workers=..., executor=...)`` or ``mine(workers=N)``; the
-mining core is deterministic by construction, so parallel and serial runs
-produce identical results.
+``SmashConfig(workers=..., executor=...)``; the mining core is
+deterministic by construction, so parallel and serial runs produce
+identical results.
 
 ``mine(cache=DimensionCache())`` makes repeated runs over overlapping
 inputs incremental: each dimension's mining outcome is cached under a
@@ -457,6 +457,148 @@ class MinedDimensions:
     stage_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
 
+def mine_dimensions(
+    prepared: HttpTrace,
+    report: PreprocessReport,
+    whois: WhoisRegistry | None,
+    config: SmashConfig,
+    cache: DimensionCache | None,
+    span,
+    pool: JobPool,
+    recorder,
+    stage_cache: dict | None = None,
+) -> MinedDimensions:
+    """The dimension stage every mine ends in: graphs, Louvain, cache.
+
+    Takes a preprocessed trace — the single-pass ``preprocess()`` output
+    or the sharded mine's index-only reduce — and runs one build-graph +
+    Louvain job per enabled dimension on *pool*, splicing cache hits in
+    from *cache* instead.  *stage_cache* pre-seeds
+    :attr:`MinedDimensions.stage_cache` (the sharded mine folds the
+    dominant-referrer map from its shards).
+    """
+    clients_by_server = prepared.clients_by_server
+    single_client_servers = {
+        server
+        for server, clients in clients_by_server.items()
+        if len(clients) == 1
+    }
+    # Multi-client restriction of the two main-dimension indices,
+    # derived by dropping the single-client servers: a server-level
+    # filter cannot change a surviving server's client set, so this
+    # equals (and replaces) materialising a filtered trace.
+    multi_clients_by_server = {
+        server: clients
+        for server, clients in clients_by_server.items()
+        if server not in single_client_servers
+    }
+    multi_servers_by_client: dict[str, frozenset[str]] = {}
+    for client, servers in prepared.servers_by_client.items():
+        surviving = servers - single_client_servers
+        if surviving:
+            multi_servers_by_client[client] = (
+                servers if len(surviving) == len(servers) else surviving
+            )
+    # Under the thread executor, materialise the shared indices before
+    # fanning out so workers read (not race to build) the cached
+    # dicts.  Serial and process runs skip this: serial builds lazily
+    # in order, and process workers re-derive the indices anyway
+    # because HttpTrace pickles without its caches (an index-only
+    # trace ships them, having nothing to rebuild from).  (`prepared`'s
+    # set-valued indices were already built by `clients_by_server`
+    # above; the file index is built separately because it is the
+    # only one that parses URIs.)
+    if pool.executor == "thread" and pool.parallel:
+        _ = prepared.files_by_server
+
+    dimensions = (MAIN_DIMENSION, *config.enabled_secondary_dimensions)
+    signatures: dict[str, str] = {}
+    reused: dict[str, MiningOutcome | None] = {}
+    to_mine: list[str] = []
+    if cache is None:
+        to_mine = list(dimensions)
+    else:
+        for dimension in dimensions:
+            try:
+                signer = DIMENSION_SIGNATURES[dimension]
+            except KeyError:
+                raise PipelineError(
+                    f"dimension {dimension!r} has no entry in "
+                    f"DIMENSION_SIGNATURES; register one to make it cacheable"
+                ) from None
+            signatures[dimension] = signer(prepared, whois, config)
+            hit, outcome = cache.lookup(dimension, signatures[dimension])
+            if hit:
+                reused[dimension] = outcome
+            else:
+                to_mine.append(dimension)
+
+    # The recorder never ships to workers: it may not survive process
+    # pickling, and worker-side recordings would be lost anyway.  Jobs
+    # measure their own wall time instead (``_timed_job``).
+    job_config = config if config.metrics is None else config.replace(metrics=None)
+    jobs = []
+    for dimension in to_mine:
+        if dimension == MAIN_DIMENSION:
+            jobs.append(
+                partial(
+                    _mine_main_dimension,
+                    multi_clients_by_server,
+                    multi_servers_by_client,
+                    single_client_servers,
+                    clients_by_server,
+                    job_config,
+                )
+            )
+        else:
+            jobs.append(partial(_mine_secondary_dimension, dimension, prepared, whois, job_config))
+    if recorder.enabled and jobs:
+        timed = pool.run([partial(_timed_job, job) for job in jobs])
+        outcomes = [outcome for outcome, _ in timed]
+        for dimension, (outcome, seconds) in zip(to_mine, timed):
+            _record_dimension(recorder, dimension, outcome, seconds)
+    else:
+        outcomes = pool.run(jobs) if jobs else []
+    mined_now: dict[str, MiningOutcome | None] = dict(zip(to_mine, outcomes))
+
+    if cache is not None:
+        for dimension in to_mine:
+            cache.update(dimension, signatures[dimension], mined_now[dimension])
+        cache.last_reused = tuple(d for d in dimensions if d in reused)
+        cache.last_mined = tuple(to_mine)
+
+    main = (
+        reused[MAIN_DIMENSION]
+        if MAIN_DIMENSION in reused
+        else mined_now[MAIN_DIMENSION]
+    )
+    assert main is not None  # the main-dimension job never returns None
+    secondary: dict[str, MiningOutcome] = {}
+    for dimension in config.enabled_secondary_dimensions:
+        outcome = (
+            reused[dimension] if dimension in reused else mined_now[dimension]
+        )
+        if outcome is not None:
+            secondary[dimension] = outcome
+    if recorder.enabled:
+        span.set(
+            requests=report.kept_requests,
+            servers=report.kept_servers,
+            mined_dimensions=list(to_mine),
+            reused_dimensions=[d for d in dimensions if d in reused],
+        )
+    return MinedDimensions(
+        trace=prepared,
+        preprocess_report=report,
+        main=main,
+        secondary=secondary,
+        # One interning of the namespace serves every finish() call
+        # (run_sweep re-correlates at several thresholds).
+        interner=Interner(clients_by_server),
+        stage_cache=dict(stage_cache or {}),
+    )
+
+
 class SmashPipeline:
     """Run SMASH over an HTTP trace.
 
@@ -524,14 +666,9 @@ class SmashPipeline:
         self,
         trace: HttpTrace | None,
         whois: WhoisRegistry | None = None,
-        workers: int | None = None,
-        executor: str | None = None,
         cache: DimensionCache | None = None,
-        shards: int | None = None,
         shard_boundaries: tuple[int, ...] | None = None,
         spill_dir: object | None = None,
-        dispatch: str | None = None,
-        out_of_core: bool | None = None,
         partitions: object | None = None,
         store_root: object | None = None,
         trace_name: str | None = None,
@@ -540,31 +677,26 @@ class SmashPipeline:
 
         The main dimension and each enabled secondary dimension are
         independent build-graph + Louvain jobs; with ``workers > 1`` they
-        run concurrently on the configured executor (*workers* and
-        *executor* override :class:`~repro.config.SmashConfig`'s
-        ``workers`` / ``executor`` fields).  Mining is deterministic by
-        construction, so every worker count and executor kind returns an
-        identical :class:`MinedDimensions`.
+        run concurrently on the configured executor.  Mining is
+        deterministic by construction, so every worker count and executor
+        kind returns an identical :class:`MinedDimensions`.
 
-        With *shards* > 1 (overriding ``SmashConfig.shards``) the whole
-        mine runs as the map-reduce of :mod:`repro.core.shardmine`:
-        per-shard index extraction with spill-to-store, merged
-        preprocessing, and partition-parallel pair counting — byte-
-        identical to the single-shard path under any ``PYTHONHASHSEED``.
-        *shard_boundaries* (per-day request counts, as the streaming
-        engine supplies) aligns shard cuts with stored partitions;
-        *spill_dir* hosts the partial spill files (a private temporary
-        directory is used when ``None``).
+        With ``SmashConfig.shards`` > 1 (or ``out_of_core``, or a
+        ``dispatch`` other than ``pool``) preprocessing runs as the
+        map-reduce of :mod:`repro.core.shardmine`: per-shard index
+        extraction with spill-to-store and a merged, index-only reduce
+        that feeds the same dimension stage (:func:`mine_dimensions`) —
+        byte-identical to the single-pass path under any
+        ``PYTHONHASHSEED``.  *shard_boundaries* (per-day request counts,
+        as the streaming engine supplies) aligns shard cuts with stored
+        partitions; *spill_dir* hosts the partial spill files (a private
+        temporary directory is used when ``None``).
 
-        *dispatch* picks how map jobs execute (``serial`` / ``pool`` /
-        ``subprocess``) and *out_of_core* selects the streaming reduce
-        that never assembles the full prepared trace in the coordinator
-        (both override the :class:`~repro.config.SmashConfig` fields of
-        the same names).  With *partitions* (``(day, digest)`` references
-        into the :class:`~repro.stream.store.TraceStore` at *store_root*)
-        instead of a *trace*, map jobs load their day partitions straight
-        from the store — pass ``trace=None``, the per-partition request
-        counts as *shard_boundaries*, and optionally *trace_name* for the
+        With *partitions* (``(day, digest)`` references into the
+        :class:`~repro.stream.store.TraceStore` at *store_root*) instead
+        of a *trace*, map jobs load their day partitions straight from
+        the store — pass ``trace=None``, the per-partition request counts
+        as *shard_boundaries*, and optionally *trace_name* for the
         result's trace label.  Every combination returns byte-identical
         mining results.
 
@@ -587,15 +719,10 @@ class SmashPipeline:
             return self._mine(
                 trace,
                 whois,
-                workers,
-                executor,
                 cache,
                 span,
-                shards,
                 shard_boundaries,
                 spill_dir,
-                dispatch,
-                out_of_core,
                 partitions,
                 store_root,
                 trace_name,
@@ -605,18 +732,13 @@ class SmashPipeline:
         self,
         trace: HttpTrace | None,
         whois: WhoisRegistry | None,
-        workers: int | None,
-        executor: str | None,
         cache: DimensionCache | None,
         span,
-        shards: int | None = None,
-        shard_boundaries: tuple[int, ...] | None = None,
-        spill_dir: object | None = None,
-        dispatch: str | None = None,
-        out_of_core: bool | None = None,
-        partitions: object | None = None,
-        store_root: object | None = None,
-        trace_name: str | None = None,
+        shard_boundaries: tuple[int, ...] | None,
+        spill_dir: object | None,
+        partitions: object | None,
+        store_root: object | None,
+        trace_name: str | None,
     ) -> MinedDimensions:
         if trace is None:
             if partitions is None or store_root is None or shard_boundaries is None:
@@ -629,28 +751,6 @@ class SmashPipeline:
         elif len(trace) == 0:
             raise PipelineError("cannot run SMASH on an empty trace")
         config = self.config
-        if (
-            workers is not None
-            or executor is not None
-            or shards is not None
-            or dispatch is not None
-            or out_of_core is not None
-        ):
-            # Fold the overrides into the config and re-validate, so a bad
-            # value fails fast with a ConfigError instead of surfacing as
-            # a ValueError after the preprocessing pass.
-            config = config.replace(
-                workers=config.workers if workers is None else workers,
-                executor=config.executor if executor is None else executor,
-                shards=config.shards if shards is None else shards,
-                dispatch=config.dispatch if dispatch is None else dispatch,
-                out_of_core=(
-                    config.out_of_core if out_of_core is None else out_of_core
-                ),
-            )
-            config.validate()
-        workers = config.workers
-        executor = config.executor
         recorder = self.metrics
         use_sharded = (
             config.shards > 1
@@ -658,13 +758,13 @@ class SmashPipeline:
             or config.dispatch != "pool"
             or partitions is not None
         )
-        if use_sharded:
-            from repro.core.shardmine import mine_sharded
+        # One pool serves every fan-out of the mine (shard indexing, then
+        # the per-dimension jobs), so the process executor pays its spawn
+        # cost once per mine.
+        with JobPool(workers=config.workers, executor=config.executor) as pool:
+            if use_sharded:
+                from repro.core.shardmine import mine_sharded
 
-            # One pool serves every fan-out of the sharded mine (shard
-            # indexing, per-dimension pair partials, Louvain), so the
-            # process executor pays its spawn cost once per mine.
-            with JobPool(workers=workers, executor=executor) as pool:
                 return mine_sharded(
                     self,
                     trace,
@@ -679,140 +779,17 @@ class SmashPipeline:
                     store_root=store_root,
                     trace_name=trace_name,
                 )
-        with recorder.span("pipeline.mine.preprocess") as pre_span:
-            prepared, report = preprocess(trace, config.preprocess)
-        if recorder.enabled:
-            pre_span.set(
-                raw_requests=report.raw_requests,
-                kept_requests=report.kept_requests,
-                raw_servers=report.raw_servers,
-                kept_servers=report.kept_servers,
-                popular_servers_removed=report.popular_servers_removed,
-            )
-
-        clients_by_server = prepared.clients_by_server
-        single_client_servers = {
-            server
-            for server, clients in clients_by_server.items()
-            if len(clients) == 1
-        }
-        # Multi-client restriction of the two main-dimension indices,
-        # derived by dropping the single-client servers: a server-level
-        # filter cannot change a surviving server's client set, so this
-        # equals (and replaces) materialising a filtered trace.
-        multi_clients_by_server = {
-            server: clients
-            for server, clients in clients_by_server.items()
-            if server not in single_client_servers
-        }
-        multi_servers_by_client: dict[str, frozenset[str]] = {}
-        for client, servers in prepared.servers_by_client.items():
-            surviving = servers - single_client_servers
-            if surviving:
-                multi_servers_by_client[client] = (
-                    servers if len(surviving) == len(servers) else surviving
+            with recorder.span("pipeline.mine.preprocess") as pre_span:
+                prepared, report = preprocess(trace, config.preprocess)
+            if recorder.enabled:
+                pre_span.set(
+                    raw_requests=report.raw_requests,
+                    kept_requests=report.kept_requests,
+                    raw_servers=report.raw_servers,
+                    kept_servers=report.kept_servers,
+                    popular_servers_removed=report.popular_servers_removed,
                 )
-        # Under the thread executor, materialise the shared indices before
-        # fanning out so workers read (not race to build) the cached
-        # dicts.  Serial and process runs skip this: serial builds lazily
-        # in order, and process workers re-derive the indices anyway
-        # because HttpTrace pickles without its caches.  (`prepared`'s
-        # set-valued indices were already built by `clients_by_server`
-        # above; the file index is built separately because it is the
-        # only one that parses URIs.)
-        if executor == "thread" and resolve_workers(workers) > 1:
-            _ = prepared.files_by_server
-
-        dimensions = (MAIN_DIMENSION, *config.enabled_secondary_dimensions)
-        signatures: dict[str, str] = {}
-        reused: dict[str, MiningOutcome | None] = {}
-        to_mine: list[str] = []
-        if cache is None:
-            to_mine = list(dimensions)
-        else:
-            for dimension in dimensions:
-                try:
-                    signer = DIMENSION_SIGNATURES[dimension]
-                except KeyError:
-                    raise PipelineError(
-                        f"dimension {dimension!r} has no entry in "
-                        f"DIMENSION_SIGNATURES; register one to make it cacheable"
-                    ) from None
-                signatures[dimension] = signer(prepared, whois, config)
-                hit, outcome = cache.lookup(dimension, signatures[dimension])
-                if hit:
-                    reused[dimension] = outcome
-                else:
-                    to_mine.append(dimension)
-
-        # The recorder never ships to workers: it may not survive process
-        # pickling, and worker-side recordings would be lost anyway.  Jobs
-        # measure their own wall time instead (``_timed_job``).
-        job_config = config if config.metrics is None else config.replace(metrics=None)
-        jobs = []
-        for dimension in to_mine:
-            if dimension == MAIN_DIMENSION:
-                jobs.append(
-                    partial(
-                        _mine_main_dimension,
-                        multi_clients_by_server,
-                        multi_servers_by_client,
-                        single_client_servers,
-                        clients_by_server,
-                        job_config,
-                    )
-                )
-            else:
-                jobs.append(
-                    partial(
-                        _mine_secondary_dimension, dimension, prepared, whois, job_config
-                    )
-                )
-        with JobPool(workers=workers, executor=executor) as pool:
-            if recorder.enabled and jobs:
-                timed = pool.run([partial(_timed_job, job) for job in jobs])
-                outcomes = [outcome for outcome, _ in timed]
-                for dimension, (outcome, seconds) in zip(to_mine, timed):
-                    _record_dimension(recorder, dimension, outcome, seconds)
-            else:
-                outcomes = pool.run(jobs) if jobs else []
-        mined_now: dict[str, MiningOutcome | None] = dict(zip(to_mine, outcomes))
-
-        if cache is not None:
-            for dimension in to_mine:
-                cache.update(dimension, signatures[dimension], mined_now[dimension])
-            cache.last_reused = tuple(d for d in dimensions if d in reused)
-            cache.last_mined = tuple(to_mine)
-
-        main = (
-            reused[MAIN_DIMENSION]
-            if MAIN_DIMENSION in reused
-            else mined_now[MAIN_DIMENSION]
-        )
-        assert main is not None  # the main-dimension job never returns None
-        secondary: dict[str, MiningOutcome] = {}
-        for dimension in config.enabled_secondary_dimensions:
-            outcome = (
-                reused[dimension] if dimension in reused else mined_now[dimension]
-            )
-            if outcome is not None:
-                secondary[dimension] = outcome
-        if recorder.enabled:
-            span.set(
-                requests=report.kept_requests,
-                servers=report.kept_servers,
-                mined_dimensions=list(to_mine),
-                reused_dimensions=[d for d in dimensions if d in reused],
-            )
-        return MinedDimensions(
-            trace=prepared,
-            preprocess_report=report,
-            main=main,
-            secondary=secondary,
-            # One interning of the namespace serves every finish() call
-            # (run_sweep re-correlates at several thresholds).
-            interner=Interner(clients_by_server),
-        )
+            return mine_dimensions(prepared, report, whois, config, cache, span, pool, recorder)
 
     # -- stages 3-5: correlate, prune, infer ----------------------------------------
 

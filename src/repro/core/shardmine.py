@@ -1,18 +1,19 @@
-"""Sharded map-reduce mining over trace partitions.
+"""Sharded map-reduce preprocessing over trace partitions.
 
 One :meth:`~repro.core.pipeline.SmashPipeline.mine` call used to hold
-the whole window's trace *and* every per-dimension index and pair
-counter in memory at once, which caps mining at single-host window
-size.  This module rebuilds the mine path as a deterministic two-level
-map-reduce whose peak mining state is bounded by shard size plus merge
-state:
+the whole window's trace *and* every per-dimension index in memory at
+once, which caps mining at single-host window size.  This module runs
+the preprocess stage as a deterministic map-reduce whose peak state is
+bounded by shard size plus merge state, and hands its index-only result
+to the same dimension stage the single-pass mine ends in
+(:func:`~repro.core.pipeline.mine_dimensions`):
 
-**Map (phase A — index extraction).**  The trace is cut into contiguous
-shards (day-partition-aligned when the streaming window provides
-boundaries).  Each shard job makes one pass over its requests, applying
-the same SLD aggregation as :func:`~repro.core.preprocess.preprocess`,
-and emits inverted-index partials (clients / IPs / URI files / optional
-parameter patterns and time windows, per server) keyed by the
+**Map (index extraction).**  The trace is cut into contiguous shards
+(day-partition-aligned when the streaming window provides boundaries).
+Each shard job makes one pass over its requests, applying the same SLD
+aggregation as :func:`~repro.core.preprocess.preprocess`, and emits
+inverted-index partials (clients / IPs / URI files / optional parameter
+patterns and time windows / referrer counts, per server) keyed by the
 **namespace-stable** ids of :class:`~repro.core.interning.StableInterner`
 — a pure content hash of the server label, so shard workers agree on
 every id with no global pass and no coordination.  Partials are spilled
@@ -24,56 +25,35 @@ shard's indexes.
 shard order: vocabularies union with collision detection, index sets
 union, request counts add.  The IDF/min-clients filter runs on the
 merged client sets, the :class:`~repro.core.preprocess.PreprocessReport`
-falls out of the merged accounting, and the preprocessed trace is
-assembled exactly as ``preprocess()`` builds it — with the merged
-indexes injected into its cache slots, so no downstream consumer
-re-scans the window to rebuild what the shards already extracted.
-After the merge the surviving namespace is re-keyed once into the dense
-canonical :class:`~repro.core.interning.Interner` order (a
-namespace-sized pass, not a trace pass); everything downstream runs in
-exactly the id domain the single-shard mine uses.
+falls out of the merged accounting, and the prepared trace is an
+:class:`IndexOnlyTrace` — the merged indexes and scalars without a
+single raw request, so the coordinator never re-scans (or even holds)
+the window.  Reduce-side consumers that need window-wide request facts
+get them from small per-shard summaries instead: request counts ride in
+the partials and the dominant-referrer map (the one ``finish``-stage
+request scan) is folded from per-shard referrer counters and pre-seeded
+into ``MinedDimensions.stage_cache``.  Any code path that would actually
+touch raw requests on the hollow trace raises loudly.
 
-**Map (phase C — pair partials).**  Candidate-pair accumulation — the
-quadratic heart of every dimension — runs partition-parallel: each
-dimension's sharing groups are hash-partitioned into buckets by group
-content, each bucket becomes an
-:func:`~repro.core.interning.accumulate_pair_counts` job on the shared
-:class:`~repro.util.parallel.JobPool`, and the per-bucket counters are
-spilled and merged in bucket order.  Because every group lands in
-exactly one bucket and counter addition is commutative, the merged
-counts — and therefore the built graphs, the Louvain herds, and the
-final campaigns — are **byte-identical to the single-shard mine under
-any ``PYTHONHASHSEED``** (test-enforced in subprocesses).  Louvain then
-fans out per dimension on the same pool.
+Graph building, Louvain and the
+:class:`~repro.core.pipeline.DimensionCache` contract are the
+single-pass ones, fed the hollow trace: the builders and the content
+signatures read only its indexes, so sharded and single-shard mines
+build identical graphs, hit the same cache entries and return results
+**byte-identical under any ``PYTHONHASHSEED``** (test-enforced in
+subprocesses).  The splice point is :class:`~repro.config.SmashConfig`
+``shards``.
 
-The splice point is :meth:`SmashPipeline.mine(shards=N)
-<repro.core.pipeline.SmashPipeline.mine>` /
-:class:`~repro.config.SmashConfig` ``shards``; the
-:class:`~repro.core.pipeline.DimensionCache` contract is preserved
-(signatures are computed on the assembled prepared trace, so sharded
-and single-shard mines hit the same cache entries).
-
-**Out-of-core mode** (``SmashConfig.out_of_core``, forced when the mine
-is given partition references instead of a trace) removes the two
-remaining places the coordinator held raw requests:
-
-* **Store-direct map jobs.**  Each shard job is a small JSON *spec*
-  naming its inputs by ``(day, digest)`` partition references into the
-  :class:`~repro.stream.store.TraceStore`; the worker loads (and digest-
-  verifies) its own day partitions, extracts, spills, and reports back
-  nothing but the partial's ``(name, digest)``.  Shard cuts fall on day
-  boundaries exactly like the in-memory boundary split
-  (:func:`_segment_groups` mirrors :func:`shard_ranges`), so the
-  per-shard request slices — and therefore the spilled partials — are
-  byte-identical to the in-memory path's.
-* **Hollow reduce.**  The merge builds an :class:`IndexOnlyTrace` — the
-  prepared trace's indexes and scalars without its requests.  Reduce-side
-  consumers that genuinely need window-wide request facts get them from
-  small per-shard summaries instead: request counts ride in the partials
-  and the dominant-referrer map (the one ``finish``-stage request scan)
-  is folded from per-shard referrer counters and pre-seeded into
-  ``MinedDimensions.stage_cache``.  Any code path that would actually
-  touch raw requests on the hollow trace raises loudly.
+**Store-direct map jobs** (``SmashConfig.out_of_core`` on the streaming
+path, or a mine given partition references instead of a trace): each
+shard job is a small JSON *spec* naming its inputs by ``(day, digest)``
+partition references into the :class:`~repro.stream.store.TraceStore`;
+the worker loads (and digest-verifies) its own day partitions, extracts,
+spills, and reports back nothing but the partial's ``(name, digest)``.
+Shard cuts fall on day boundaries exactly like the in-memory boundary
+split (:func:`shard_ranges` is computed from :func:`_segment_groups`),
+so the per-shard request slices — and therefore the spilled partials —
+are byte-identical to the in-memory path's.
 
 **Dispatch seam.**  How map jobs execute is delegated to a
 :class:`~repro.core.dispatch.ShardDispatcher` (``SmashConfig.dispatch``):
@@ -81,40 +61,26 @@ inline on the shared pool (the default), serially in the coordinator, or
 on long-lived worker subprocesses speaking the store-paths + digests
 contract a remote worker would use.  The pipeline hands out the
 dispatcher (:meth:`~repro.core.pipeline.SmashPipeline.shard_dispatcher`)
-so those workers outlive one mine.  Reduce, pair accumulation and
-Louvain always run on the coordinator's pool; dispatch only moves the
-map phase.
+so those workers outlive one mine.  The reduce and the dimension stage
+always run on the coordinator and its pool; dispatch only moves the map
+phase.
 """
 
 from __future__ import annotations
 
-import hashlib
 import tempfile
 import time
 
 from collections import Counter, defaultdict
-from functools import partial
+from itertools import accumulate
 from pathlib import Path
 
 from repro.config import SmashConfig
-from repro.core.ashmining import MiningOutcome, mine_herds
-from repro.core.dimensions.client import build_client_graph_from_indices
+from repro.core.dimensions.timedim import DEFAULT_WINDOW_SECONDS
 from repro.core.faults import fire_after_spill, fire_before_load
-from repro.core.dimensions.ipset import build_ipset_graph
-from repro.core.dimensions.timedim import DEFAULT_WINDOW_SECONDS, build_time_graph
-from repro.core.dimensions.urifile import build_urifile_graph
-from repro.core.dimensions.urlparam import build_urlparam_graph
-from repro.core.dimensions.whoisdim import build_whois_graph
-from repro.core.interning import (
-    Interner,
-    PairStats,
-    StableInterner,
-    accumulate_pair_counts,
-    resolve_auto_cap,
-)
-from repro.core.preprocess import PreprocessReport, aggregate_trace
+from repro.core.interning import StableInterner
+from repro.core.preprocess import PreprocessReport
 from repro.core.pruning import referrer_host
-from repro.core.results import MAIN_DIMENSION
 from repro.domains.names import normalize_server_name
 from repro.errors import PipelineError
 from repro.httplog.records import HttpRequest
@@ -126,7 +92,6 @@ __all__ = [
     "mine_sharded",
     "run_shard_job",
     "IndexOnlyTrace",
-    "ShardedAccumulator",
     "shard_ranges",
 ]
 
@@ -150,18 +115,9 @@ def shard_ranges(
         return []
     shards = max(1, min(shards, total))
     if boundaries and len(boundaries) > 1 and sum(boundaries) == total:
-        segments = len(boundaries)
-        groups = min(shards, segments)
-        offsets = [0]
-        for length in boundaries:
-            offsets.append(offsets[-1] + length)
-        ranges = []
-        for group in range(groups):
-            first = group * segments // groups
-            last = (group + 1) * segments // groups
-            if offsets[first] < offsets[last]:
-                ranges.append((offsets[first], offsets[last]))
-        return ranges
+        offsets = [0, *accumulate(boundaries)]
+        spans = _segment_groups(boundaries, shards)
+        return [(offsets[first], offsets[last]) for first, last in spans]
     return [
         (index * total // shards, (index + 1) * total // shards)
         for index in range(shards)
@@ -172,14 +128,13 @@ def shard_ranges(
 def _segment_groups(
     boundaries: tuple[int, ...], shards: int
 ) -> list[tuple[int, int]]:
-    """Partition-index spans ``[first, last)`` mirroring :func:`shard_ranges`.
+    """Partition-index spans ``[first, last)`` of the boundary-aligned split.
 
-    For the store-direct map phase: group *g* of the boundary-aligned
-    split covers exactly ``partitions[first:last]``, so loading and
-    concatenating those day partitions reproduces the in-memory shard's
-    request slice byte for byte.  Same group arithmetic (and the same
-    empty-group skipping) as the boundary path of :func:`shard_ranges`,
-    so the group count — and hence shard numbering — matches too.
+    Group *g* covers exactly ``partitions[first:last]``: the boundary
+    path of :func:`shard_ranges` is these spans' request offsets, and the
+    store-direct map phase loads and concatenates those day partitions,
+    so both reproduce the same shard's request slice byte for byte — and
+    the same group count, hence shard numbering.
     """
     total = sum(boundaries)
     if total <= 0:
@@ -199,7 +154,7 @@ def _segment_groups(
     return spans
 
 
-# -- phase A: per-shard index extraction --------------------------------------------
+# -- map: per-shard index extraction -------------------------------------------------
 
 
 def _resolve_source(spec: dict) -> HttpTrace:
@@ -404,176 +359,46 @@ class _MergedIndexes:
                 target_entries[landing] = target_entries.get(landing, 0) + int(count)
 
 
-# -- phase C: partition-parallel pair accumulation ----------------------------------
-
-
-def _bucket_of(group: list[int], buckets: int) -> int:
-    """Deterministic, hash-seed-independent bucket of one sharing group."""
-    digest = hashlib.blake2b(",".join(map(str, group)).encode("ascii"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % buckets
-
-
-def _pair_chunk_job(
-    groups: list[list[int]],
-    width: int,
-    cap: int,
-    spill_root: str,
-    name: str,
-) -> tuple[str, str, int, dict[str, int], float]:
-    """One reduce-input job: accumulate one bucket's pair counts and spill.
-
-    Returns ``(name, digest, spill bytes, stats, seconds)``; the counter
-    itself travels through the :class:`PartialStore`.
-    """
-    tick = time.perf_counter()
-    stats = PairStats()
-    counts = accumulate_pair_counts(groups, width, cap=cap, stats=stats)
-    payload = {
-        "counts": sorted(counts.items()),
-        "stats": stats.to_dict(),
-    }
-    digest, spilled = PartialStore(spill_root).put(name, payload)
-    return name, digest, spilled, stats.to_dict(), time.perf_counter() - tick
-
-
-class ShardedAccumulator:
-    """Drop-in for :func:`~repro.core.interning.accumulate_pair_counts`
-    that fans the quadratic work out over the shared pool.
-
-    Groups are hash-partitioned by content into ``buckets`` chunks; each
-    chunk runs the real accumulator (same cap, its own
-    :class:`~repro.core.interning.PairStats`) and spills its counter;
-    the chunks merge in bucket order.  Every group lands in exactly one
-    bucket and counter addition is commutative, so the merged counts
-    equal the single-pass counts for any bucket assignment — and the
-    folded stats match too (``candidate_pairs`` is recomputed as the
-    merged counter's size, since one pair can surface in several
-    buckets).
-    """
-
-    def __init__(
-        self,
-        pool: JobPool,
-        buckets: int,
-        spill_root: str | Path,
-        dimension: str,
-        recorder=None,
-    ) -> None:
-        self.pool = pool
-        self.buckets = max(1, buckets)
-        self.spill_root = str(spill_root)
-        self.dimension = dimension
-        self.recorder = recorder
-
-    def __call__(
-        self,
-        groups,
-        width: int,
-        cap: int = 0,
-        stats: PairStats | None = None,
-        auto_cap: int = 0,
-    ) -> Counter[int]:
-        chunks: list[list[list[int]]] = [[] for _ in range(self.buckets)]
-        sizes: list[int] = []
-        for group in groups:
-            members = list(group)
-            sizes.append(len(members))
-            chunks[_bucket_of(members, self.buckets)].append(members)
-        if auto_cap > 0 and not cap:
-            # Same pure function of the full group-size distribution the
-            # single-pass accumulator applies, so the sharded mine makes
-            # the identical capping decision and stays byte-identical.
-            cap = resolve_auto_cap(sizes, cap, auto_cap)
-            if stats is not None:
-                stats.auto_cap = cap
-        jobs = []
-        for bucket, chunk in enumerate(chunks):
-            if not chunk:
-                continue
-            name = f"pairs-{self.dimension}-{bucket:04d}"
-            jobs.append(partial(_pair_chunk_job, chunk, width, cap, self.spill_root, name))
-        results = self.pool.run(jobs)
-
-        merged: Counter[int] = Counter()
-        store = PartialStore(self.spill_root)
-        recorder = self.recorder
-        for name, digest, spilled, chunk_stats, seconds in results:
-            payload = store.load(name, digest)
-            store.delete(name)
-            merged.update(dict(payload["counts"]))
-            if stats is not None:
-                stats.groups += chunk_stats["groups"]
-                stats.skipped_groups += chunk_stats["skipped_groups"]
-                stats.enumerated_pairs += chunk_stats["enumerated_pairs"]
-                if chunk_stats["largest_group"] > stats.largest_group:
-                    stats.largest_group = chunk_stats["largest_group"]
-            if recorder is not None and recorder.enabled:
-                recorder.record_span(
-                    "pipeline.mine.pair_partial",
-                    seconds,
-                    {
-                        "dimension": self.dimension,
-                        "partial": name,
-                        "spill_bytes": spilled,
-                        **chunk_stats,
-                    },
-                )
-                recorder.counter(
-                    "smash_shard_pair_partials_total",
-                    "Pair-count partials accumulated by the sharded mine.",
-                    labels=("dimension",),
-                ).labels(dimension=self.dimension).inc()
-                recorder.counter(
-                    "smash_shard_spill_bytes_total",
-                    "Bytes of sharded-mine partials spilled, by kind.",
-                    labels=("kind",),
-                ).labels(kind="pairs").inc(spilled)
-        if stats is not None:
-            stats.candidate_pairs = len(merged)
-        return merged
-
-
-# -- Louvain jobs (module-level for pickling) ---------------------------------------
-
-
-def _louvain_secondary_job(graph, dimension: str, config: SmashConfig) -> MiningOutcome:
-    return mine_herds(graph, dimension, config.louvain)
-
-
-def _louvain_main_job(
-    graph,
-    single_client_servers: set[str],
-    clients_by_server: dict[str, frozenset[str]],
-    config: SmashConfig,
-) -> MiningOutcome:
-    from repro.core.pipeline import _append_single_client_herds
-
-    main = mine_herds(graph, MAIN_DIMENSION, config.louvain)
-    return _append_single_client_herds(main, single_client_servers, clients_by_server)
-
-
 # -- the sharded mine ---------------------------------------------------------------
 
 
 class IndexOnlyTrace(HttpTrace):
     """A prepared trace holding inverted indexes but no raw requests.
 
-    The out-of-core reduce builds every per-dimension graph (and every
+    The sharded reduce builds every per-dimension graph (and every
     content signature) from the merged shard indexes; the scalar facts
     consumers legitimately need — request count, server namespace — are
     injected.  Any path that would actually read raw requests raises a
     :class:`~repro.errors.PipelineError`: silently iterating an empty
     request tuple would corrupt results, failing loudly turns a missed
     consumer into a test failure instead.
+
+    The injected indexes are this trace's whole content, not a cache: it
+    pickles with them (process-pool dimension jobs receive them intact),
+    refuses to rebuild them from its empty request tuple, and compares
+    and hashes by name, length and indexes.
     """
+
+    #: The injected index slots, in comparison order.
+    _INDEXES = (
+        "_clients_by_server",
+        "_ips_by_server",
+        "_files_by_server",
+        "_servers_by_client",
+        "_servers",
+        "_patterns_by_server",
+        "_windows_by_server",
+    )
 
     def __init__(self, name: str, num_requests: int) -> None:
         super().__init__((), name=name)
         self._num_requests = num_requests
+        self._patterns_by_server: dict[str, frozenset[tuple[str, ...]]] | None = None
+        self._windows_by_server: dict[str, frozenset[int]] | None = None
 
     def _no_requests(self) -> PipelineError:
         return PipelineError(
-            f"trace {self.name!r} is index-only (out-of-core mine): raw "
+            f"trace {self.name!r} is index-only (sharded mine): raw "
             "requests were never assembled in the coordinator"
         )
 
@@ -583,12 +408,31 @@ class IndexOnlyTrace(HttpTrace):
     def __iter__(self):
         raise self._no_requests()
 
-    @property
-    def requests(self):
+    def __getstate__(self) -> dict[str, object]:
+        return self.__dict__.copy()
+
+    def _value(self) -> tuple:
+        return (
+            self.name,
+            self._num_requests,
+            *(getattr(self, slot) for slot in self._INDEXES),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HttpTrace):
+            return NotImplemented
+        return isinstance(other, IndexOnlyTrace) and self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash((self.name, self._num_requests, self._servers))
+
+    def _build_indices(self) -> None:
         raise self._no_requests()
 
+    _build_file_index = _build_request_index = _build_indices
+
     @property
-    def requests_by_server(self):
+    def requests(self):
         raise self._no_requests()
 
 
@@ -599,12 +443,11 @@ def _assemble_hollow(
     want_patterns: bool,
     want_windows: bool,
     want_referrers: bool,
-) -> tuple[HttpTrace, PreprocessReport, dict[int, str], dict[str, str]]:
+) -> tuple[IndexOnlyTrace, PreprocessReport, dict[str, str]]:
     """Finish preprocessing without ever materialising the window trace.
 
-    The out-of-core counterpart of :func:`_assemble_prepared`: identical
-    IDF/min-clients filtering on the merged client sets and identical
-    injected indexes, but the prepared trace is an
+    Applies ``preprocess()``'s IDF/min-clients filter to the merged
+    client sets and injects the merged inverted indexes into an
     :class:`IndexOnlyTrace` — no request is ever resident in the
     coordinator.  Also folds the per-shard referrer summaries into the
     ``dominant_referrers`` map the finish stage would otherwise derive
@@ -668,7 +511,7 @@ def _assemble_hollow(
         raw_requests=merged.requests,
         kept_requests=kept_requests,
     )
-    return prepared, report, kept, referrer_of
+    return prepared, report, referrer_of
 
 
 def _store_specs(
@@ -715,115 +558,6 @@ def _store_specs(
     return specs
 
 
-def _assemble_prepared(
-    trace: HttpTrace,
-    merged: _MergedIndexes,
-    config: SmashConfig,
-) -> tuple[HttpTrace, PreprocessReport, dict[int, str]]:
-    """Finish preprocessing from the merged indexes.
-
-    Builds the same filtered trace ``preprocess()`` builds (identical
-    requests, identical name) and injects the merged inverted indexes
-    into its cache slots, so every downstream consumer reads the
-    shard-extracted data instead of re-scanning the window.  Returns the
-    prepared trace, the report, and the kept ``{stable id: label}``
-    namespace.
-    """
-    pre = config.preprocess
-    label_of = merged.vocab.to_dict()
-    popular = {sid for sid, clients in merged.clients.items() if len(clients) > pre.idf_threshold}
-    too_rare = {sid for sid, clients in merged.clients.items() if len(clients) < pre.min_clients}
-    removed_labels = {label_of[sid] for sid in popular | too_rare}
-    kept = {
-        sid: label
-        for sid, label in label_of.items()
-        if sid not in popular and sid not in too_rare
-    }
-
-    aggregated = aggregate_trace(trace) if pre.aggregate_second_level else trace
-    prepared = aggregated.filter_servers(
-        lambda server: server not in removed_labels,
-        name=f"{trace.name}:preprocessed",
-    )
-
-    # Inject the merged indexes into the prepared trace's cache slots.
-    # Iteration order of these dicts never reaches an output (every
-    # consumer sorts), but keep it canonical anyway.
-    order = sorted(kept, key=lambda sid: kept[sid])
-    clients_by_server = {kept[sid]: frozenset(merged.clients[sid]) for sid in order}
-    servers_of: dict[str, set[str]] = defaultdict(set)
-    for label, clients in clients_by_server.items():
-        for client in clients:
-            servers_of[client].add(label)
-    prepared._clients_by_server = clients_by_server
-    prepared._ips_by_server = {kept[sid]: frozenset(merged.ips[sid]) for sid in order}
-    prepared._files_by_server = {kept[sid]: frozenset(merged.files[sid]) for sid in order}
-    prepared._servers_by_client = {
-        client: frozenset(found) for client, found in servers_of.items()
-    }
-    prepared._servers = frozenset(clients_by_server)
-
-    report = PreprocessReport(
-        raw_servers=len(merged.raw_hosts),
-        aggregated_servers=len(label_of),
-        popular_servers_removed=len(popular),
-        kept_servers=len(kept),
-        raw_requests=merged.requests,
-        kept_requests=sum(merged.counts[sid] for sid in kept),
-    )
-    return prepared, report, kept
-
-
-def _build_secondary_graph(
-    dimension: str,
-    prepared: HttpTrace,
-    whois,
-    config: SmashConfig,
-    accumulate: ShardedAccumulator,
-    merged: _MergedIndexes,
-    kept: dict[int, str],
-):
-    """Build one secondary dimension's graph with sharded accumulation."""
-    if dimension == "urifile":
-        return build_urifile_graph(prepared, config.dimensions, accumulate)
-    if dimension == "ipset":
-        return build_ipset_graph(prepared, config.dimensions, accumulate)
-    if dimension == "whois":
-        if whois is None:
-            return None
-        return build_whois_graph(prepared, whois, config.dimensions, accumulate)
-    if dimension == "urlparam":
-        patterns_of = {
-            kept[sid]: frozenset(merged.patterns[sid])
-            for sid in kept
-            if merged.patterns.get(sid)
-        }
-        return build_urlparam_graph(
-            prepared, config.dimensions, accumulate, patterns_of=patterns_of
-        )
-    if dimension == "time":
-        windows_of = {
-            kept[sid]: frozenset(merged.windows[sid])
-            for sid in kept
-            if merged.windows.get(sid)
-        }
-        return build_time_graph(
-            prepared,
-            config.dimensions,
-            accumulate=accumulate,
-            windows_of=windows_of,
-        )
-    # Extension dimensions registered only in SECONDARY_GRAPH_BUILDERS:
-    # fall back to the un-sharded builder (correct, just not fanned out).
-    from repro.core.pipeline import SECONDARY_GRAPH_BUILDERS
-
-    try:
-        builder = SECONDARY_GRAPH_BUILDERS[dimension]
-    except KeyError:  # pragma: no cover - guarded by SmashConfig.validate
-        raise PipelineError(f"unknown dimension {dimension!r}") from None
-    return builder(prepared, whois, config)
-
-
 def mine_sharded(
     pipeline,
     trace: HttpTrace | None,
@@ -840,24 +574,22 @@ def mine_sharded(
 ):
     """The sharded mine path; see the module docstring.
 
-    Returns a :class:`~repro.core.pipeline.MinedDimensions` byte-for-byte
-    equal (in every output-reachable field) to what
-    ``SmashPipeline._mine`` produces on the same inputs.
+    Runs the sharded preprocess (map → merge → :func:`_assemble_hollow`)
+    and hands the index-only trace to
+    :func:`~repro.core.pipeline.mine_dimensions`, so it returns a
+    :class:`~repro.core.pipeline.MinedDimensions` byte-for-byte equal
+    (in every output-reachable field) to what the single-pass mine
+    produces on the same inputs, apart from the prepared trace being an
+    :class:`IndexOnlyTrace`.
 
     With *partitions* (``(day, digest)`` references into the store at
     *store_root*) instead of *trace*, map jobs load their own day
-    partitions — the coordinator never holds a raw request — and the
-    reduce is forced out-of-core (*boundaries* must then be the per-
-    partition request counts, from the partition manifests).  With a
-    *trace*, ``config.out_of_core`` selects the hollow reduce and
-    ``config.dispatch`` selects how map jobs execute either way.
+    partitions, so the coordinator never holds a raw request
+    (*boundaries* must then be the per-partition request counts, from
+    the partition manifests).  ``config.dispatch`` selects how map jobs
+    execute either way.
     """
-    from repro.core.pipeline import (
-        DIMENSION_SIGNATURES,
-        MinedDimensions,
-        _record_dimension,
-        _timed_job,
-    )
+    from repro.core.pipeline import mine_dimensions
 
     recorder = pipeline.metrics
     shards = config.shards
@@ -870,7 +602,7 @@ def mine_sharded(
     window_name = trace.name if trace is not None else (trace_name or "trace")
     want_patterns = "urlparam" in config.enabled_secondary_dimensions
     want_windows = "time" in config.enabled_secondary_dimensions
-    want_referrers = out_of_core and config.pruning.prune_referrer_groups
+    want_referrers = config.pruning.prune_referrer_groups
 
     if spill_dir is not None:
         parent = Path(spill_dir)
@@ -885,7 +617,6 @@ def mine_sharded(
     spill.claim()
     dispatcher = pipeline.shard_dispatcher(config, pool)
     try:
-        # -- phase A + reduce: sharded preprocess ---------------------------------
         with recorder.span("pipeline.mine.preprocess") as pre_span:
             common = {
                 "aggregate": config.preprocess.aggregate_second_level,
@@ -966,23 +697,19 @@ def mine_sharded(
                 for result in results:
                     merged.merge(spill.load(result["name"], result["digest"]))
                     spill.delete(result["name"])
-            referrer_of: dict[str, str] | None = None
-            if out_of_core:
-                prepared, report, kept, referrer_of = _assemble_hollow(
-                    merged,
-                    config,
-                    window_name,
-                    want_patterns,
-                    want_windows,
-                    want_referrers,
-                )
-            else:
-                prepared, report, kept = _assemble_prepared(trace, merged, config)
+            prepared, report, referrer_of = _assemble_hollow(
+                merged,
+                config,
+                window_name,
+                want_patterns,
+                want_windows,
+                want_referrers,
+            )
             if recorder.enabled:
                 merge_span.set(
                     shards=num_shards,
                     servers=len(merged.vocab),
-                    kept_servers=len(kept),
+                    kept_servers=report.kept_servers,
                 )
                 pre_span.set(
                     raw_requests=report.raw_requests,
@@ -994,134 +721,21 @@ def mine_sharded(
                     dispatch=dispatcher.kind,
                     out_of_core=out_of_core,
                 )
-
-        # -- cache lookup (same contract as the single-shard mine) ----------------
-        clients_by_server = prepared.clients_by_server
-        single_client_servers = {
-            server
-            for server, clients in clients_by_server.items()
-            if len(clients) == 1
-        }
-        multi_clients_by_server = {
-            server: clients
-            for server, clients in clients_by_server.items()
-            if server not in single_client_servers
-        }
-        multi_servers_by_client: dict[str, frozenset[str]] = {}
-        for client, servers in prepared.servers_by_client.items():
-            surviving = servers - single_client_servers
-            if surviving:
-                multi_servers_by_client[client] = (
-                    servers if len(surviving) == len(servers) else surviving
-                )
-
-        dimensions = (MAIN_DIMENSION, *config.enabled_secondary_dimensions)
-        signatures: dict[str, str] = {}
-        reused: dict[str, MiningOutcome | None] = {}
-        to_mine: list[str] = []
-        if cache is None:
-            to_mine = list(dimensions)
-        else:
-            for dimension in dimensions:
-                try:
-                    signer = DIMENSION_SIGNATURES[dimension]
-                except KeyError:
-                    raise PipelineError(
-                        f"dimension {dimension!r} has no entry in "
-                        f"DIMENSION_SIGNATURES; register one to make it cacheable"
-                    ) from None
-                signatures[dimension] = signer(prepared, whois, config)
-                hit, outcome = cache.lookup(dimension, signatures[dimension])
-                if hit:
-                    reused[dimension] = outcome
-                else:
-                    to_mine.append(dimension)
-
-        # -- phase C: graphs with partition-parallel pair counting ----------------
-        job_config = config if config.metrics is None else config.replace(metrics=None)
-        graphs: dict[str, object] = {}
-        build_seconds: dict[str, float] = {}
-        for dimension in to_mine:
-            accumulate = ShardedAccumulator(
-                pool, num_shards or 1, spill_root, dimension, recorder=recorder
-            )
-            tick = time.perf_counter()
-            if dimension == MAIN_DIMENSION:
-                graphs[dimension] = build_client_graph_from_indices(
-                    multi_clients_by_server,
-                    multi_servers_by_client,
-                    config.dimensions,
-                    accumulate,
-                )
-            else:
-                graphs[dimension] = _build_secondary_graph(
-                    dimension, prepared, whois, job_config, accumulate, merged, kept
-                )
-            build_seconds[dimension] = time.perf_counter() - tick
-
-        # -- Louvain fan-out on the same pool -------------------------------------
-        louvain_jobs = []
-        louvain_dimensions = []
-        for dimension in to_mine:
-            graph = graphs[dimension]
-            if graph is None:
-                continue
-            louvain_dimensions.append(dimension)
-            if dimension == MAIN_DIMENSION:
-                job = partial(
-                    _louvain_main_job,
-                    graph,
-                    single_client_servers,
-                    clients_by_server,
-                    job_config,
-                )
-            else:
-                job = partial(_louvain_secondary_job, graph, dimension, job_config)
-            louvain_jobs.append(partial(_timed_job, job))
-        timed = pool.run(louvain_jobs)
-
-        mined_now: dict[str, MiningOutcome | None] = {dimension: None for dimension in to_mine}
-        for dimension, (outcome, seconds) in zip(louvain_dimensions, timed):
-            mined_now[dimension] = outcome
-            if recorder.enabled:
-                _record_dimension(recorder, dimension, outcome, build_seconds[dimension] + seconds)
-        if recorder.enabled:
-            for dimension in to_mine:
-                if dimension not in louvain_dimensions:
-                    _record_dimension(recorder, dimension, None, build_seconds[dimension])
-
-        if cache is not None:
-            for dimension in to_mine:
-                cache.update(dimension, signatures[dimension], mined_now[dimension])
-            cache.last_reused = tuple(d for d in dimensions if d in reused)
-            cache.last_mined = tuple(to_mine)
-
-        main = reused[MAIN_DIMENSION] if MAIN_DIMENSION in reused else mined_now[MAIN_DIMENSION]
-        assert main is not None  # the main-dimension job never returns None
-        secondary: dict[str, MiningOutcome] = {}
-        for dimension in config.enabled_secondary_dimensions:
-            outcome = reused[dimension] if dimension in reused else mined_now[dimension]
-            if outcome is not None:
-                secondary[dimension] = outcome
-        if recorder.enabled:
-            span.set(
-                requests=report.kept_requests,
-                servers=report.kept_servers,
-                shards=num_shards,
-                dispatch=dispatcher.kind,
-                out_of_core=out_of_core,
-                mined_dimensions=list(to_mine),
-                reused_dimensions=[d for d in dimensions if d in reused],
-            )
-        return MinedDimensions(
-            trace=prepared,
-            preprocess_report=report,
-            main=main,
-            secondary=secondary,
-            interner=Interner(clients_by_server),
-            stage_cache=(
-                {"dominant_referrers": referrer_of} if referrer_of is not None else {}
-            ),
-        )
     finally:
         spill.cleanup()
+    # The prepared trace holds its own copies of the merged sets; drop
+    # the originals before the dimension stage builds its graphs.
+    del merged
+    if recorder.enabled:
+        span.set(shards=num_shards, dispatch=dispatcher.kind, out_of_core=out_of_core)
+    return mine_dimensions(
+        prepared,
+        report,
+        whois,
+        config,
+        cache,
+        span,
+        pool,
+        recorder,
+        stage_cache={"dominant_referrers": referrer_of},
+    )

@@ -23,9 +23,9 @@ per PR instead of asserted once and forgotten:
     Measures the map-reduce mine path (:mod:`repro.core.shardmine`) at
     10x the mine suite's largest scale: peak RSS per shard count (each
     configuration in its own subprocess — see
-    :mod:`repro.eval.shardprobe`), spill-merge throughput serial and on
-    the process pool, and the byte-identity of every row's result
-    document.
+    :mod:`repro.eval.shardprobe`), spill-merge throughput serial and
+    with the per-dimension jobs fanned out on the process pool, and the
+    byte-identity of every row's result document.
 
 All harnesses re-check output equivalence while they time (incremental
 == cold, interned == label path, sharded == single-pass), so a
@@ -497,10 +497,11 @@ def sharded_scaling(
     Rows: the single-pass baseline, each requested shard count on the
     serial executor (the peak-memory story — map partials spill to the
     store and merge one shard at a time), the largest shard count on
-    the process pool with one worker per CPU (the throughput story), and
+    the process pool with one worker per CPU (the throughput story: map
+    jobs, then one graph-build + Louvain job per dimension), and
     the largest shard count in out-of-core mode with subprocess dispatch
     (the coordinator-memory story: store-direct map jobs in child
-    interpreters, streaming reduce, no window trace in the coordinator),
+    interpreters, index-only reduce, no window trace in the coordinator),
     and a chaos twin of that row under an injected worker-crash +
     torn-spill fault plan (the robustness story: retries recover the
     identical output, and the fault-free vs retrying ratio is gated).

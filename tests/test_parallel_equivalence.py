@@ -87,12 +87,8 @@ class TestParallelEquivalence:
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_mine_workers_match_serial(self, small_dataset, small_mined, executor):
         """workers=4 on either pool reproduces the serial MinedDimensions."""
-        parallel = SmashPipeline().mine(
-            small_dataset.trace,
-            whois=small_dataset.whois,
-            workers=4,
-            executor=executor,
-        )
+        config = SmashConfig(workers=4, executor=executor)
+        parallel = SmashPipeline(config).mine(small_dataset.trace, whois=small_dataset.whois)
         assert parallel.main == small_mined.main  # includes graph equality
         assert parallel.secondary == small_mined.secondary
         assert parallel.preprocess_report == small_mined.preprocess_report
@@ -113,9 +109,9 @@ class TestParallelEquivalence:
 
     def test_mine_rejects_bad_overrides_before_preprocessing(self, small_dataset):
         with pytest.raises(ConfigError):
-            SmashPipeline().mine(small_dataset.trace, executor="fibers")
+            SmashPipeline(SmashConfig().replace(executor="fibers"))
         with pytest.raises(ConfigError):
-            SmashPipeline().mine(small_dataset.trace, workers=-1)
+            SmashPipeline(SmashConfig().replace(workers=-1))
 
     def test_streaming_engine_accepts_worker_overrides(self, small_dataset):
         from repro.stream import StreamingSmash

@@ -2,13 +2,13 @@
 
 The mine path gained a shard-parallel mode (:mod:`repro.core.shardmine`):
 per-shard index extraction against the namespace-stable
-:class:`~repro.core.interning.StableInterner`, spill-to-store partials,
-and partition-parallel pair counting, merged deterministically into the
-existing graph → Louvain → correlate path.  The mode's contract is that
+:class:`~repro.core.interning.StableInterner` and spill-to-store
+partials, merged deterministically into an index-only prepared trace
+that feeds the existing graph → Louvain → correlate path.  The mode's contract is that
 ``--shards N`` output is **byte-identical** to the single-shard mine for
 every shard count and every ``PYTHONHASHSEED`` — the in-process classes
 below pin each mechanism (shard planning, stable interning, spill
-verification, bucketed pair accumulation, prepared-trace assembly), and
+verification, index-only trace assembly), and
 the subprocess matrix at the bottom enforces the end-to-end property the
 way :mod:`tests.test_determinism` does for the single-shard core.
 """
@@ -20,28 +20,21 @@ import os
 import subprocess
 import sys
 
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.config import SmashConfig
-from repro.core.interning import (
-    PairStats,
-    StableInterner,
-    accumulate_pair_counts,
-    stable_label_id,
-)
+from repro.core.interning import StableInterner, stable_label_id
 from repro.core.pipeline import DimensionCache, SmashPipeline
-from repro.core.preprocess import preprocess
 from repro.core.shardmine import (
     IndexOnlyTrace,
-    ShardedAccumulator,
     run_shard_job,
     shard_ranges,
 )
 from repro.errors import ConfigError, PipelineError, StreamError
 from repro.eval.export import result_to_dict
+from repro.httplog.trace import HttpTrace
 from repro.stream import StreamingSmash
 from repro.stream.store import PartialStore, TraceStore
 from repro.synth.generator import TraceGenerator
@@ -59,12 +52,6 @@ HASH_SEEDS = (1, 2, 3)
 @pytest.fixture(scope="module")
 def dataset():
     return TraceGenerator(small_scenario(seed=7)).generate_day(0)
-
-
-@pytest.fixture(scope="module")
-def prepared(dataset):
-    trace, _ = preprocess(dataset.trace)
-    return trace
 
 
 def result_doc(result) -> str:
@@ -207,99 +194,19 @@ class TestJobPool:
             assert pool.run([]) == []
 
 
-# -- partition-parallel pair counting -----------------------------------------------
-
-
-class TestShardedAccumulator:
-    GROUPS = [
-        [0, 1, 2],
-        [1, 2, 3, 4],
-        [0, 4],
-        [2],
-        [0, 1, 2, 3, 4, 5],
-        [3, 5],
-        [1, 4, 5],
-    ]
-    WIDTH = 6
-
-    def _sharded(self, buckets: int, cap: int, tmp_path) -> tuple[Counter, PairStats]:
-        stats = PairStats()
-        with JobPool(workers=1) as pool:
-            accumulate = ShardedAccumulator(pool, buckets, tmp_path / "spill", "client")
-            counts = accumulate(self.GROUPS, self.WIDTH, cap=cap, stats=stats)
-        return counts, stats
-
-    @pytest.mark.parametrize("buckets", [1, 3, 7])
-    def test_counts_and_stats_match_single_pass(self, buckets, tmp_path):
-        expected_stats = PairStats()
-        expected = accumulate_pair_counts(self.GROUPS, self.WIDTH, stats=expected_stats)
-        counts, stats = self._sharded(buckets, 0, tmp_path)
-        assert counts == expected
-        assert stats == expected_stats
-
-    def test_cap_applies_identically(self, tmp_path):
-        expected_stats = PairStats()
-        expected = accumulate_pair_counts(self.GROUPS, self.WIDTH, cap=3, stats=expected_stats)
-        counts, stats = self._sharded(3, 3, tmp_path)
-        assert counts == expected
-        assert stats == expected_stats
-        assert stats.skipped_groups > 0  # the cap actually gated groups
-
-    def test_partials_deleted_after_merge(self, tmp_path):
-        self._sharded(3, 0, tmp_path)
-        assert list((tmp_path / "spill").iterdir()) == []
-
-
-# -- per-dimension graph equality ---------------------------------------------------
-
-
-class TestSecondaryGraphEquality:
-    """Each builder mines the identical topology under a sharded
-    accumulator — the per-dimension half of the byte-identity contract."""
-
-    @pytest.mark.parametrize("dimension", ["urifile", "ipset", "whois"])
-    def test_default_dimensions(self, dimension, prepared, dataset, tmp_path):
-        from repro.core.dimensions.ipset import build_ipset_graph
-        from repro.core.dimensions.urifile import build_urifile_graph
-        from repro.core.dimensions.whoisdim import build_whois_graph
-
-        with JobPool(workers=1) as pool:
-            accumulate = ShardedAccumulator(pool, 3, tmp_path / "spill", dimension)
-            if dimension == "urifile":
-                sharded = build_urifile_graph(prepared, accumulate=accumulate)
-                plain = build_urifile_graph(prepared)
-            elif dimension == "ipset":
-                sharded = build_ipset_graph(prepared, accumulate=accumulate)
-                plain = build_ipset_graph(prepared)
-            else:
-                sharded = build_whois_graph(prepared, dataset.whois, accumulate=accumulate)
-                plain = build_whois_graph(prepared, dataset.whois)
-        assert sharded == plain
-        assert sharded.nodes == plain.nodes  # same canonical order
-
-    def test_optin_dimensions(self, prepared, tmp_path):
-        from repro.core.dimensions.timedim import build_time_graph
-        from repro.core.dimensions.urlparam import build_urlparam_graph
-
-        with JobPool(workers=1) as pool:
-            for dimension, builder in (
-                ("urlparam", build_urlparam_graph),
-                ("time", build_time_graph),
-            ):
-                accumulate = ShardedAccumulator(pool, 3, tmp_path / "spill", dimension)
-                assert builder(prepared, accumulate=accumulate) == builder(prepared)
-
-
 # -- mine / run equivalence ---------------------------------------------------------
 
 
 class TestMineEquivalence:
     def test_mined_dimensions_equal_single_shard(self, dataset):
-        pipeline = SmashPipeline()
-        base = pipeline.mine(dataset.trace, whois=dataset.whois)
-        sharded = pipeline.mine(dataset.trace, whois=dataset.whois, shards=3)
+        base = SmashPipeline().mine(dataset.trace, whois=dataset.whois)
+        config = SmashConfig().replace(shards=3)
+        sharded = SmashPipeline(config).mine(dataset.trace, whois=dataset.whois)
         assert sharded.trace.name == base.trace.name
-        assert sharded.trace.requests == base.trace.requests
+        # The sharded reduce never assembles requests: its prepared trace
+        # is index-only, with the single pass's length and indexes.
+        assert isinstance(sharded.trace, IndexOnlyTrace)
+        assert len(sharded.trace) == len(base.trace)
         assert sharded.preprocess_report == base.preprocess_report
         # The injected inverted indexes must equal the lazily-built ones.
         assert sharded.trace.clients_by_server == base.trace.clients_by_server
@@ -338,6 +245,17 @@ class TestMineEquivalence:
         sharded = SmashPipeline(config).run(dataset.trace, **kwargs)
         assert result_doc(sharded) == result_doc(base)
 
+    def test_process_executor_mine_equal_single_pass(self, dataset):
+        # The index-only trace crosses a process boundary into every
+        # secondary-dimension job and must arrive with its indexes.
+        base = SmashPipeline().mine(dataset.trace, whois=dataset.whois)
+        config = SmashConfig().replace(shards=2, workers=2, executor="process")
+        with SmashPipeline(config) as pipeline:
+            sharded = pipeline.mine(dataset.trace, whois=dataset.whois)
+        assert sharded.preprocess_report == base.preprocess_report
+        assert sharded.main == base.main
+        assert sharded.secondary == base.secondary
+
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_out_of_core_byte_identical(self, dataset, shards):
         kwargs = dict(whois=dataset.whois, redirects=dataset.redirects)
@@ -368,6 +286,40 @@ class TestMineEquivalence:
         with pytest.raises(PipelineError, match="index-only"):
             mined.trace.requests_by_server("whatever.example")
 
+    def test_index_only_trace_survives_pickle(self, dataset):
+        import pickle
+
+        config = SmashConfig().replace(shards=2, out_of_core=True)
+        mined = SmashPipeline(config).mine(dataset.trace, whois=dataset.whois)
+        assert isinstance(mined.trace, IndexOnlyTrace)
+        clone = pickle.loads(pickle.dumps(mined.trace))
+        assert clone.clients_by_server == mined.trace.clients_by_server
+        assert clone.clients_by_server  # not silently rebuilt from nothing
+        assert clone.files_by_server == mined.trace.files_by_server
+        assert clone == mined.trace
+        assert hash(clone) == hash(mined.trace)
+
+    def test_index_only_trace_refuses_index_rebuild(self):
+        hollow = IndexOnlyTrace("window", 5)
+        with pytest.raises(PipelineError, match="index-only"):
+            hollow.clients_by_server  # noqa: B018 - the access itself is the test
+        with pytest.raises(PipelineError, match="index-only"):
+            hollow.files_by_server  # noqa: B018
+
+    def test_index_only_traces_compare_by_content(self, dataset):
+        other_day = TraceGenerator(small_scenario(seed=8)).generate_day(0).trace
+        # Same name, different requests: only the indexes tell them apart.
+        renamed = HttpTrace(other_day.requests, name=dataset.trace.name)
+        pipeline = SmashPipeline(SmashConfig().replace(shards=2, out_of_core=True))
+        first = pipeline.mine(dataset.trace).trace
+        second = pipeline.mine(renamed).trace
+        again = pipeline.mine(dataset.trace).trace
+        assert first.name == second.name
+        assert first != second
+        assert first == again and hash(first) == hash(again)
+        assert first != HttpTrace(())
+        assert HttpTrace(()) != first
+
     def test_dimension_cache_interop(self, dataset):
         # Signatures are computed on the assembled prepared trace, so a
         # sharded mine must hit the cache entries a single-shard mine
@@ -376,7 +328,8 @@ class TestMineEquivalence:
         cache = DimensionCache()
         base = pipeline.mine(dataset.trace, whois=dataset.whois, cache=cache)
         assert cache.last_mined  # first mine populated the cache
-        sharded = pipeline.mine(dataset.trace, whois=dataset.whois, cache=cache, shards=3)
+        sharded_pipeline = SmashPipeline(pipeline.config.replace(shards=3))
+        sharded = sharded_pipeline.mine(dataset.trace, whois=dataset.whois, cache=cache)
         assert not cache.last_mined  # everything reused
         expected = {"client", *pipeline.config.enabled_secondary_dimensions}
         assert set(cache.last_reused) == expected
