@@ -5,9 +5,7 @@ serves all benches: scenario generation and ASH mining are cached, so
 each bench times its own experiment-specific computation and prints the
 paper-shaped table.  Output is also written to ``results/<bench>.txt``.
 
-Set ``REPRO_BENCH_SCALE`` (default 1.0) to shrink the scenarios and
-``REPRO_BENCH_WORKERS`` (default 1) to fan per-dimension mining out over
-a pool (identical results, different wall time).
+Set ``REPRO_BENCH_SCALE`` (default 1.0) to shrink the scenarios.
 """
 
 from __future__ import annotations
@@ -25,8 +23,7 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 @pytest.fixture(scope="session")
 def runner() -> ExperimentRunner:
     scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-    workers = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-    return ExperimentRunner(scale=scale, workers=workers)
+    return ExperimentRunner(scale=scale)
 
 
 @pytest.fixture(scope="session")

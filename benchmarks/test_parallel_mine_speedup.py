@@ -2,15 +2,14 @@
 
 ``SmashPipeline.mine`` runs one independent build-graph + Louvain job per
 dimension (main + urifile + ipset + whois by default).  This bench times
-serial mining against thread- and process-pool fan-out on the full
-Data2011day trace, asserts the outputs are structurally identical (the
-determinism guarantee that makes the fan-out verifiable at all), and
-records the wall times in BENCH style.
+serial mining against process-pool fan-out on the full Data2011day
+trace, asserts the outputs are structurally identical (the determinism
+guarantee that makes the fan-out verifiable at all), and records the
+wall times in BENCH style.
 
-The speedup is hardware-dependent: thread fan-out is GIL-bound on the
-pure-Python builders, and process fan-out pays a trace-pickling tax, so
-on a single-CPU box the parallel rows can be *slower* — the table records
-whatever the hardware gives.
+The speedup is hardware-dependent: process fan-out pays a trace-pickling
+tax, so on a box with few CPUs the parallel row can be *slower* — the
+table records whatever the hardware gives.
 """
 
 from __future__ import annotations
@@ -33,17 +32,14 @@ def test_parallel_mine_equivalence_and_speed(runner, emit):
     workers = max(4, os.cpu_count() or 1)
 
     serial, serial_s = _timed_mine(runner.config, dataset, workers=1)
-    threaded, thread_s = _timed_mine(runner.config, dataset, workers=workers, executor="thread")
     processed, process_s = _timed_mine(runner.config, dataset, workers=workers, executor="process")
 
     # Identical results at any worker count — the determinism guarantee.
-    for parallel in (threaded, processed):
-        assert parallel.main == serial.main
-        assert parallel.secondary == serial.secondary
+    assert processed.main == serial.main
+    assert processed.secondary == serial.secondary
 
     rows = [
         ("serial (workers=1)", serial_s),
-        (f"thread pool (workers={workers})", thread_s),
         (f"process pool (workers={workers})", process_s),
     ]
     lines = [

@@ -57,6 +57,7 @@ from repro.obs import (
 from repro.synth.generator import TraceGenerator
 from repro.synth.oracles import RedirectOracle
 from repro.synth.scenarios import data2011day, data2012day, data2012week, small_scenario
+from repro.util.parallel import DISPATCH_KINDS, EXECUTOR_KINDS
 from repro.whois.record import WhoisRecord
 from repro.whois.registry import WhoisRegistry
 
@@ -511,7 +512,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     chaos_digest = None
     failure = None
     try:
-        with SmashPipeline(config.replace(fault_plan=plan, metrics=registry)) as pipeline:
+        # out_of_core keeps `--shards 1` on the sharded path, so its map
+        # phase runs and the plan's faults fire.
+        faulted = config.replace(fault_plan=plan, metrics=registry, out_of_core=True)
+        with SmashPipeline(faulted) as pipeline:
             chaos = pipeline.run(dataset.trace, whois=dataset.whois, redirects=dataset.redirects)
         chaos_digest = _result_digest(chaos)
     except ReproError as error:
@@ -577,14 +581,15 @@ def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="workers for per-dimension mining (0 = one per CPU, default 1 = "
-        "serial); every worker count produces identical output",
+        help="workers for --executor process and --dispatch subprocess (0 = one "
+        "per CPU, default 1 = serial); every worker count produces identical output",
     )
     parser.add_argument(
         "--executor",
-        choices=["serial", "thread", "process"],
-        default="thread",
-        help="executor used when --workers > 1 (default: thread)",
+        choices=list(EXECUTOR_KINDS),
+        default="serial",
+        help="executor for the mine's jobs: serial (default) or process, "
+        "which fans them out over --workers processes",
     )
     parser.add_argument(
         "--shards",
@@ -597,12 +602,12 @@ def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--dispatch",
-        choices=["serial", "pool", "subprocess"],
+        choices=list(DISPATCH_KINDS),
         default="pool",
-        help="how sharded map jobs execute: on the worker pool (default), "
-        "inline (serial), or on long-lived worker subprocesses exchanging only "
-        "store paths and content digests; every dispatch kind produces "
-        "byte-identical output",
+        help="where sharded map jobs run: on the --executor pool (default) or "
+        "on long-lived worker subprocesses exchanging only store paths and "
+        "content digests; it does not shard a mine by itself (use --shards "
+        "or --out-of-core), and both produce byte-identical output",
     )
     parser.add_argument(
         "--out-of-core",
@@ -816,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--shards", type=int, default=3)
     chaos.add_argument(
         "--dispatch",
-        choices=["serial", "pool", "subprocess"],
+        choices=list(DISPATCH_KINDS),
         default="subprocess",
         help="dispatcher to stress (default: subprocess — the only one that "
         "can enforce timeouts and survive real worker death)",
@@ -827,7 +832,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="concurrent shard workers (0 = one per CPU)",
     )
-    chaos.add_argument("--executor", choices=["serial", "thread", "process"], default="thread")
+    chaos.add_argument(
+        "--executor",
+        choices=list(EXECUTOR_KINDS),
+        default="serial",
+        help="executor of the mine's pool, where --dispatch pool runs shard "
+        "jobs (default: serial)",
+    )
     chaos.add_argument(
         "--shard-retries",
         type=int,

@@ -281,15 +281,18 @@ class SmashConfig:
 
     #: Worker count for per-dimension mining inside ``SmashPipeline.mine``
     #: (the main dimension plus each enabled secondary dimension is an
-    #: independent build-graph + Louvain job).  ``1`` (the default) mines
-    #: serially; ``0`` means one worker per available CPU.  Mining is
-    #: deterministic by construction, so every worker count produces an
-    #: identical :class:`~repro.core.results.SmashResult`.
+    #: independent build-graph + Louvain job) under ``executor="process"``,
+    #: and for the shard workers of ``dispatch="subprocess"``.  ``1`` (the
+    #: default) mines serially; ``0`` means one worker per available CPU.
+    #: Mining is deterministic by construction, so every worker count
+    #: produces an identical :class:`~repro.core.results.SmashResult`.
     workers: int = 1
 
-    #: Executor used when ``workers > 1``: ``"serial"``, ``"thread"`` or
-    #: ``"process"`` (see :mod:`repro.util.parallel` for the trade-offs).
-    executor: str = "thread"
+    #: Executor for the mine's jobs: ``"serial"`` (the default) runs
+    #: them in the calling thread, ``"process"`` fans them out over
+    #: ``workers`` processes when ``workers > 1`` (see
+    #: :mod:`repro.util.parallel` for the trade-offs).
+    executor: str = "serial"
 
     #: Shard count for the map-reduce preprocess
     #: (:mod:`repro.core.shardmine`).  ``1`` (the default) mines in one
@@ -304,14 +307,14 @@ class SmashConfig:
     #: incremental-mining content signatures.
     shards: int = 1
 
-    #: How the sharded mine's map jobs are dispatched (see
+    #: Where the sharded mine's map jobs run (see
     #: :mod:`repro.core.dispatch`): ``"pool"`` (the default) runs them on
-    #: the mine's shared ``workers``/``executor`` pool, ``"serial"``
-    #: forces an inline loop in the coordinator, and ``"subprocess"``
-    #: runs them on the pipeline's long-lived worker processes speaking the
-    #: remote-worker contract (store paths + partial digests only).  Like ``workers``
-    #: and ``shards``, a pure execution strategy: every dispatcher
-    #: produces byte-identical results.
+    #: the mine's shared ``workers``/``executor`` pool, and
+    #: ``"subprocess"`` on the pipeline's long-lived worker processes
+    #: speaking the remote-worker contract (store paths + partial digests
+    #: only).  It never makes a mine sharded: that takes ``shards > 1`` or
+    #: ``out_of_core``.  Like ``workers`` and ``shards``, a pure execution
+    #: strategy: both dispatchers produce byte-identical results.
     dispatch: str = "pool"
 
     #: Run the mine out-of-core: it always takes the sharded path (even
@@ -345,8 +348,8 @@ class SmashConfig:
 
     #: Wall-clock budget (seconds) for one subprocess shard-job attempt;
     #: a worker running past it is killed and the attempt counts as a
-    #: retryable timeout.  In-process dispatchers cannot interrupt a
-    #: running job and do not enforce it.
+    #: retryable timeout.  The pool dispatcher cannot interrupt a
+    #: running job and does not enforce it.
     shard_timeout: float = 600.0
 
     #: Deterministic fault-injection plan (a

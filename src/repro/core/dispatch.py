@@ -3,14 +3,13 @@
 The coordinator in :mod:`repro.core.shardmine` describes each map job as
 a small JSON-compatible *spec* (shard number, input source, output spill
 root — see :func:`~repro.core.shardmine.run_shard_job`) and hands the
-batch to a :class:`ShardDispatcher`.  Where and how the jobs execute is
-the dispatcher's business alone:
+batch to a :class:`ShardDispatcher`.  Where the jobs execute is the
+dispatcher's business alone (``SmashConfig.dispatch``):
 
-* :class:`SerialDispatcher` — a plain loop in the coordinator process;
-* :class:`PoolDispatcher` — the mine's shared
-  :class:`~repro.util.parallel.JobPool` (thread or process executor),
-  the PR 7 behaviour;
-* :class:`SubprocessDispatcher` — a pool of long-lived
+* ``"pool"`` — :class:`ShardDispatcher` itself, on the mine's shared
+  :class:`~repro.util.parallel.JobPool`: a fail-fast loop in the
+  coordinator on a serial pool, a process fan-out on a process pool;
+* ``"subprocess"`` — :class:`SubprocessDispatcher`, a pool of long-lived
   ``python -m repro.core.shardworker`` processes speaking a line
   protocol: one JSON spec per line on a worker's stdin, one JSON result
   line per job on its stdout.  The pool spawns lazily and lives until
@@ -18,28 +17,29 @@ the dispatcher's business alone:
   :class:`~repro.core.pipeline.SmashPipeline` closes it), so a stream
   pays interpreter start-up and imports once, not on every advance.
 
-Every dispatcher is retry-aware: each shard job runs under a
+Both are retry-aware: each shard job runs under a
 :class:`~repro.core.faults.RetryPolicy` via
 :func:`~repro.core.faults.run_job_outcome`, so a crashed or hung worker,
 a torn spill, or a transient store error costs one retry (on a fresh
 spill name) instead of the whole mine.  A shard that exhausts its retry
 budget is *reassigned* to inline serial execution in the coordinator —
-a flaky environment degrades to the PR 7 path rather than failing — and
-only non-retryable errors (a corrupt source partition fails on every
-host) abort the batch, deterministically raising the lowest-numbered
-shard's error.  Failed spill bytes are quarantined with a reason file
-(:meth:`~repro.stream.store.PartialStore.quarantine`), and the retry /
-failure / reassignment accounting flows through :mod:`repro.obs`
-(``smash_shard_retries_total``, ``smash_shard_worker_failures_total``,
-``smash_shard_reassigned_total`` plus per-attempt spans).
+a flaky environment degrades to the in-process path rather than failing
+— and only non-retryable errors (a corrupt source partition fails on
+every host) abort the batch, deterministically raising the
+lowest-numbered shard's error.  Failed spill bytes are quarantined with
+a reason file (:meth:`~repro.stream.store.PartialStore.quarantine`), and
+the retry / failure / reassignment accounting flows through
+:mod:`repro.obs` (``smash_shard_retries_total``,
+``smash_shard_worker_failures_total``, ``smash_shard_reassigned_total``
+plus per-attempt spans).
 
 The subprocess dispatcher is deliberately the narrowest: specs it
 receives reference inputs only by store paths and content digests
 (``inline_traces`` is ``False``, so the coordinator never embeds live
 request objects), and results travel back the same way — the exact
 contract a remote worker over a network transport would need.  Because
-shard jobs are deterministic and their outputs digest-verified, every
-dispatcher produces byte-identical mining results; dispatch, like the
+shard jobs are deterministic and their outputs digest-verified, both
+dispatchers produce byte-identical mining results; dispatch, like the
 retry policy and any injected :class:`~repro.core.faults.FaultPlan`, is
 an execution strategy, like ``workers`` or ``shards``.
 """
@@ -64,40 +64,43 @@ from repro.core.faults import (
     rebuild_error,
     run_job_outcome,
 )
-from repro.errors import PipelineError, ShardTimeoutError, WorkerError
+from repro.errors import ShardTimeoutError, WorkerError
 from repro.obs import NULL_RECORDER
-from repro.util.parallel import DISPATCH_KINDS, JobPool, resolve_workers
+from repro.util.parallel import JobPool, resolve_workers
 
 #: Span recorded once per shard-job attempt that ran to a conclusion.
 ATTEMPT_SPAN = "pipeline.mine.shard_attempt"
 
 
 class ShardDispatcher:
-    """How a batch of shard-job specs gets executed.
+    """Run a batch of shard-job specs on the mine's :class:`JobPool`.
 
-    Subclasses implement :meth:`_run_batch`, returning one *outcome*
-    dict per spec (the :func:`~repro.core.faults.run_job_outcome`
-    protocol); the shared :meth:`run` turns outcomes into results —
-    reassigning exhausted shards inline, recording obs accounting, and
-    raising the lowest-numbered shard's fatal error.  ``inline_traces``
-    advertises whether specs may carry live in-memory traces (only
-    dispatchers that share the coordinator's address space can accept
-    those — the subprocess dispatcher forces the coordinator to spill
-    inputs to a store first).
+    :meth:`_run_batch` returns one *outcome* dict per spec (the
+    :func:`~repro.core.faults.run_job_outcome` protocol); :meth:`run`
+    turns outcomes into results — reassigning exhausted shards inline,
+    recording obs accounting, and raising the lowest-numbered shard's
+    fatal error.  The pool is owned by the caller (it also serves the
+    per-dimension fan-out), so :meth:`close` leaves it alone.
+    ``inline_traces`` advertises whether specs may carry live in-memory
+    traces (only a dispatcher that shares the coordinator's address
+    space, or pickles its jobs, can accept those — the subprocess
+    dispatcher forces the coordinator to spill inputs to a store first).
     """
 
-    #: Name under which :func:`make_dispatcher` builds this dispatcher.
-    kind: str = "abstract"
+    #: The ``SmashConfig.dispatch`` value this dispatcher implements.
+    kind: str = "pool"
 
     #: Whether job specs may reference in-memory traces directly.
-    inline_traces: bool = False
+    inline_traces: bool = True
 
     def __init__(
         self,
+        pool: JobPool,
         policy: RetryPolicy | None = None,
         plan: FaultPlan | None = None,
         recorder=None,
     ) -> None:
+        self.pool = pool
         self.policy = policy or RetryPolicy()
         self.plan = plan
         self.recorder = NULL_RECORDER if recorder is None else recorder
@@ -149,8 +152,20 @@ class ShardDispatcher:
         return results
 
     def _run_batch(self, specs: list[dict]) -> list[dict]:
-        """One outcome dict per spec, in spec order."""
-        raise NotImplementedError
+        """One outcome dict per spec, in spec order.
+
+        Outcomes are plain dicts, so the retry loop runs inside pool
+        workers under a process executor; the pool offers no
+        cancellation, so there a fatal error surfaces only after the
+        batch drains.
+        """
+        if not self.pool.parallel:
+            return _fail_fast_serial(
+                specs, partial(run_job_outcome, policy=self.policy, plan=self.plan)
+            )
+        return self.pool.run(
+            [partial(run_job_outcome, spec, self.policy, self.plan) for spec in specs]
+        )
 
     def _reassign(self, spec: dict) -> dict:
         """Graceful degradation: run an exhausted shard inline, fault-free.
@@ -158,7 +173,7 @@ class ShardDispatcher:
         Subprocess retries failing repeatedly usually means the
         *environment* (spawning interpreters, the spill transport) is
         flaky, not the job — so the coordinator absorbs the job itself
-        on a fresh spill name, exactly the PR 7 serial path.
+        on a fresh spill name, exactly as a serial pool runs it.
         """
         from repro.core.shardmine import run_shard_job
 
@@ -232,48 +247,6 @@ def _fail_fast_serial(specs: list[dict], run_outcome) -> list[dict]:
             outcomes.extend({"cancelled": True} for _ in specs[index + 1 :])
             break
     return outcomes
-
-
-class SerialDispatcher(ShardDispatcher):
-    """Run shard jobs inline in the coordinator, one after another."""
-
-    kind = "serial"
-    inline_traces = True
-
-    def _run_batch(self, specs: list[dict]) -> list[dict]:
-        return _fail_fast_serial(
-            specs,
-            lambda spec: run_job_outcome(spec, self.policy, self.plan),
-        )
-
-
-class PoolDispatcher(ShardDispatcher):
-    """Fan shard jobs out on the mine's shared :class:`JobPool`.
-
-    The pool is owned by the caller (it also serves the per-dimension
-    fan-out), so :meth:`close` leaves it alone.  Outcomes are
-    plain dicts, so the retry loop runs inside pool workers even under a
-    process executor; the pool offers no cancellation, so a fatal error
-    surfaces only after the batch drains.
-    """
-
-    kind = "pool"
-    inline_traces = True
-
-    def __init__(
-        self,
-        pool: JobPool,
-        policy: RetryPolicy | None = None,
-        plan: FaultPlan | None = None,
-        recorder=None,
-    ) -> None:
-        super().__init__(policy=policy, plan=plan, recorder=recorder)
-        self.pool = pool
-
-    def _run_batch(self, specs: list[dict]) -> list[dict]:
-        return self.pool.run(
-            [partial(run_job_outcome, spec, self.policy, self.plan) for spec in specs]
-        )
 
 
 def _worker_env() -> dict[str, str]:
@@ -415,7 +388,9 @@ class SubprocessDispatcher(ShardDispatcher):
         plan: FaultPlan | None = None,
         recorder=None,
     ) -> None:
-        super().__init__(policy=policy, plan=plan, recorder=recorder)
+        # Jobs run on the worker processes below, never on a JobPool; the
+        # serial one given to the base class stays idle.
+        super().__init__(JobPool(), policy=policy, plan=plan, recorder=recorder)
         self.workers = resolve_workers(workers)
         self._threads: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
@@ -541,41 +516,8 @@ class SubprocessDispatcher(ShardDispatcher):
         _stop_workers(self._live)
 
 
-def make_dispatcher(
-    kind: str,
-    pool: JobPool | None = None,
-    workers: int = 0,
-    policy: RetryPolicy | None = None,
-    plan: FaultPlan | None = None,
-    recorder=None,
-) -> ShardDispatcher:
-    """Build the dispatcher for a configured ``dispatch`` kind.
-
-    ``"pool"`` requires the caller's :class:`JobPool`; ``"subprocess"``
-    takes a concurrent-worker budget (``0`` = one per CPU).  *policy*,
-    *plan* and *recorder* configure retries, fault injection and obs
-    accounting for any kind.
-    """
-    if kind == "serial":
-        return SerialDispatcher(policy=policy, plan=plan, recorder=recorder)
-    if kind == "pool":
-        if pool is None:
-            raise PipelineError("pool dispatch requires a JobPool")
-        return PoolDispatcher(pool, policy=policy, plan=plan, recorder=recorder)
-    if kind == "subprocess":
-        return SubprocessDispatcher(
-            workers=workers, policy=policy, plan=plan, recorder=recorder
-        )
-    raise PipelineError(
-        f"unknown dispatch kind {kind!r}; expected one of {DISPATCH_KINDS}"
-    )
-
-
 __all__ = [
     "ATTEMPT_SPAN",
     "ShardDispatcher",
-    "SerialDispatcher",
-    "PoolDispatcher",
     "SubprocessDispatcher",
-    "make_dispatcher",
 ]

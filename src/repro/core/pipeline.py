@@ -10,8 +10,8 @@ expensive graph work — how the Table II/III threshold sweeps are produced.
 
 Per-dimension mining is dispatched through ``SECONDARY_GRAPH_BUILDERS``
 (a registry, so extensions can add dimensions without touching ``mine``)
-and can fan out over a thread or process pool via
-``SmashConfig(workers=..., executor=...)``; the mining core is
+and can fan out over a process pool via
+``SmashConfig(workers=..., executor="process")``; the mining core is
 deterministic by construction, so parallel and serial runs produce
 identical results.
 
@@ -38,7 +38,7 @@ from functools import partial
 from repro.config import SmashConfig
 from repro.core.ashmining import MiningOutcome, mine_herds
 from repro.core.correlation import correlate_ids
-from repro.core.dispatch import ShardDispatcher, SubprocessDispatcher, make_dispatcher
+from repro.core.dispatch import ShardDispatcher, SubprocessDispatcher
 from repro.core.dimensions.client import build_client_graph_from_indices
 from repro.core.dimensions.ipset import build_ipset_graph
 from repro.core.dimensions.timedim import build_time_graph
@@ -56,7 +56,7 @@ from repro.graph.wgraph import WeightedGraph
 from repro.obs.metrics import NULL_RECORDER
 from repro.httplog.trace import HttpTrace
 from repro.httplog.redirects import RedirectOracle
-from repro.util.parallel import JobPool, resolve_workers
+from repro.util.parallel import JobPool
 from repro.whois.registry import WhoisRegistry
 
 #: A secondary-dimension graph builder: ``(trace, whois, config) -> graph``.
@@ -499,18 +499,6 @@ def mine_dimensions(
             multi_servers_by_client[client] = (
                 servers if len(surviving) == len(servers) else surviving
             )
-    # Under the thread executor, materialise the shared indices before
-    # fanning out so workers read (not race to build) the cached
-    # dicts.  Serial and process runs skip this: serial builds lazily
-    # in order, and process workers re-derive the indices anyway
-    # because HttpTrace pickles without its caches (an index-only
-    # trace ships them, having nothing to rebuild from).  (`prepared`'s
-    # set-valued indices were already built by `clients_by_server`
-    # above; the file index is built separately because it is the
-    # only one that parses URIs.)
-    if pool.executor == "thread" and pool.parallel:
-        _ = prepared.files_by_server
-
     dimensions = (MAIN_DIMENSION, *config.enabled_secondary_dimensions)
     signatures: dict[str, str] = {}
     reused: dict[str, MiningOutcome | None] = {}
@@ -621,32 +609,24 @@ class SmashPipeline:
         self.metrics = self.config.metrics or NULL_RECORDER
         self._subprocess: SubprocessDispatcher | None = None
 
-    def shard_dispatcher(self, config: SmashConfig, pool: JobPool) -> ShardDispatcher:
-        """The map-phase dispatcher for one sharded mine under *config*.
+    def shard_dispatcher(self, pool: JobPool) -> ShardDispatcher:
+        """The map-phase dispatcher for one sharded mine on *pool*.
 
-        Serial and pool dispatchers are cheap and built per mine; the
-        subprocess dispatcher is kept, so its workers serve every mine
-        of this pipeline.  Its retry policy and fault plan follow each
-        mine's *config*; a different worker budget replaces it.
+        The pool dispatcher is cheap and built per mine; the subprocess
+        dispatcher is built once, so its workers serve every mine of
+        this pipeline.
         """
-        policy = RetryPolicy.from_config(config)
-        if config.dispatch != "subprocess":
-            return make_dispatcher(
-                config.dispatch,
-                pool=pool,
-                policy=policy,
-                plan=config.fault_plan,
-                recorder=self.metrics,
-            )
-        dispatcher = self._subprocess
-        if dispatcher is None or dispatcher.workers != resolve_workers(config.workers):
-            self.close()
-            dispatcher = self._subprocess = SubprocessDispatcher(
-                workers=config.workers, recorder=self.metrics
-            )
-        dispatcher.policy = policy
-        dispatcher.plan = config.fault_plan
-        return dispatcher
+        config = self.config
+        options = dict(
+            policy=RetryPolicy.from_config(config),
+            plan=config.fault_plan,
+            recorder=self.metrics,
+        )
+        if config.dispatch == "pool":
+            return ShardDispatcher(pool, **options)
+        if self._subprocess is None:
+            self._subprocess = SubprocessDispatcher(workers=config.workers, **options)
+        return self._subprocess
 
     def close(self) -> None:
         """Stop any shard-worker processes (idempotent; the pipeline stays usable)."""
@@ -681,8 +661,8 @@ class SmashPipeline:
         deterministic by construction, so every worker count and executor
         kind returns an identical :class:`MinedDimensions`.
 
-        With ``SmashConfig.shards`` > 1 (or ``out_of_core``, or a
-        ``dispatch`` other than ``pool``) preprocessing runs as the
+        With ``SmashConfig.shards`` > 1 (or ``out_of_core``, or
+        *partitions*) preprocessing runs as the
         map-reduce of :mod:`repro.core.shardmine`: per-shard index
         extraction with spill-to-store and a merged, index-only reduce
         that feeds the same dimension stage (:func:`mine_dimensions`) —
@@ -752,12 +732,7 @@ class SmashPipeline:
             raise PipelineError("cannot run SMASH on an empty trace")
         config = self.config
         recorder = self.metrics
-        use_sharded = (
-            config.shards > 1
-            or config.out_of_core
-            or config.dispatch != "pool"
-            or partitions is not None
-        )
+        use_sharded = config.shards > 1 or config.out_of_core or partitions is not None
         # One pool serves every fan-out of the mine (shard indexing, then
         # the per-dimension jobs), so the process executor pays its spawn
         # cost once per mine.

@@ -55,15 +55,16 @@ split (:func:`shard_ranges` is computed from :func:`_segment_groups`),
 so the per-shard request slices — and therefore the spilled partials —
 are byte-identical to the in-memory path's.
 
-**Dispatch seam.**  How map jobs execute is delegated to a
+**Dispatch seam.**  Where map jobs execute is delegated to a
 :class:`~repro.core.dispatch.ShardDispatcher` (``SmashConfig.dispatch``):
-inline on the shared pool (the default), serially in the coordinator, or
-on long-lived worker subprocesses speaking the store-paths + digests
-contract a remote worker would use.  The pipeline hands out the
-dispatcher (:meth:`~repro.core.pipeline.SmashPipeline.shard_dispatcher`)
-so those workers outlive one mine.  The reduce and the dimension stage
-always run on the coordinator and its pool; dispatch only moves the map
-phase.
+on the mine's shared pool (the default), or on long-lived worker
+subprocesses speaking the store-paths + digests contract a remote
+worker would use.  The pipeline hands out the dispatcher
+(:meth:`~repro.core.pipeline.SmashPipeline.shard_dispatcher`) so those
+workers outlive one mine.  The reduce and the dimension stage always run
+on the coordinator and its pool; dispatch only moves the map phase, and
+never decides whether a mine is sharded (``shards``, ``out_of_core`` and
+store partitions do).
 """
 
 from __future__ import annotations
@@ -160,8 +161,8 @@ def _segment_groups(
 def _resolve_source(spec: dict) -> HttpTrace:
     """Materialise one shard job's input trace from its source spec.
 
-    ``inline`` carries a live :class:`HttpTrace` (same-address-space
-    dispatchers only); ``store`` names whole day partitions by
+    ``inline`` carries a live :class:`HttpTrace` (the pool dispatcher
+    only); ``store`` names whole day partitions by
     ``(day, digest)`` in a :class:`~repro.stream.store.TraceStore`, with
     an optional ``slice [k, n]`` applying the even :func:`shard_ranges`
     cut after concatenation; ``spill`` names a coordinator-spilled
@@ -204,7 +205,7 @@ def run_shard_job(spec: dict) -> dict:
 
     *spec* is JSON-compatible apart from an ``inline`` source's trace
     (see :func:`_resolve_source`), so the same function serves the
-    in-process dispatchers and the subprocess worker
+    pool dispatcher and the subprocess worker
     (:mod:`repro.core.shardworker`).  The heavy payload travels through
     the digest-verified :class:`PartialStore`; the returned dict carries
     only the partial's identity plus small accounting.
@@ -615,7 +616,7 @@ def mine_sharded(
         spill_root = tempfile.mkdtemp(prefix="repro-shardmine-")
     spill = PartialStore(spill_root)
     spill.claim()
-    dispatcher = pipeline.shard_dispatcher(config, pool)
+    dispatcher = pipeline.shard_dispatcher(pool)
     try:
         with recorder.span("pipeline.mine.preprocess") as pre_span:
             common = {

@@ -44,14 +44,8 @@ class ExperimentRunner:
 
     scale: float = 1.0
     config: SmashConfig = field(default_factory=SmashConfig)
-    #: Optional fan-out for per-dimension mining (overrides
-    #: ``config.workers``); results are identical at any worker count,
-    #: only the per-dataset mining wall time changes.
-    workers: int | None = None
 
     def __post_init__(self) -> None:
-        if self.workers is not None:
-            self.config = self.config.replace(workers=self.workers)
         self._datasets: dict[str, SyntheticDataset] = {}
         self._week: list[SyntheticDataset] | None = None
         self._mined: dict[str, MinedDimensions] = {}

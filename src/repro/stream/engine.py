@@ -119,12 +119,6 @@ class StreamingSmash:
         sinks: tuple[AlertSink, ...] = (),
         thresh: float = DEFAULT_THRESH,
         single_client_thresh: float | None = SINGLE_CLIENT_THRESH,
-        workers: int | None = None,
-        executor: str | None = None,
-        shards: int | None = None,
-        shard_retries: int | None = None,
-        shard_timeout: float | None = None,
-        fault_plan=None,
         store: TraceStore | None = None,
         store_dir: str | Path | None = None,
         incremental: bool | None = None,
@@ -145,26 +139,6 @@ class StreamingSmash:
         self.metrics = metrics or self.config.metrics or NULL_RECORDER
         if self.metrics.enabled and self.config.metrics is not self.metrics:
             self.config = self.config.replace(metrics=self.metrics)
-        # Per-advance runs mine every dimension over the current window;
-        # `workers`/`executor`/`shards` override the config's fan-out
-        # settings without the caller having to build a SmashConfig.
-        # Mining is deterministic (sharded or not), so this never changes
-        # the stream's campaigns or tracker identities — only how fast
-        # each advance completes and how much memory it holds at peak.
-        # `shard_retries`/`shard_timeout`/`fault_plan` ride the same way:
-        # retries and injected (recoverable) faults change only how an
-        # advance executes, never what it mines.
-        overrides = {
-            "workers": workers,
-            "executor": executor,
-            "shards": shards,
-            "shard_retries": shard_retries,
-            "shard_timeout": shard_timeout,
-            "fault_plan": fault_plan,
-        }
-        changed = {name: value for name, value in overrides.items() if value is not None}
-        if changed:
-            self.config = self.config.replace(**changed)
         self.pipeline = SmashPipeline(self.config)
         self.store = (
             TraceStore(store_dir, metrics=self.metrics)

@@ -3,10 +3,11 @@
 from repro.util.text import charset_cosine, charset_vector
 from repro.util.stats import ecdf, percentile_of, summarize
 from repro.util.rng import child_rng, make_rng
-from repro.util.parallel import EXECUTOR_KINDS, resolve_workers, run_jobs
+from repro.util.parallel import EXECUTOR_KINDS, JobPool, resolve_workers
 
 __all__ = [
     "EXECUTOR_KINDS",
+    "JobPool",
     "charset_cosine",
     "charset_vector",
     "child_rng",
@@ -14,6 +15,5 @@ __all__ = [
     "make_rng",
     "percentile_of",
     "resolve_workers",
-    "run_jobs",
     "summarize",
 ]

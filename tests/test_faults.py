@@ -49,6 +49,7 @@ from repro.obs import MetricsRegistry
 from repro.stream.store import PartialStore
 from repro.synth.generator import TraceGenerator
 from repro.synth.scenarios import small_scenario
+from repro.util.parallel import EXECUTOR_KINDS, JobPool
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -341,7 +342,7 @@ class _FakeBatchDispatcher(ShardDispatcher):
     """Feed canned outcomes through the shared run() interpretation."""
 
     def __init__(self, outcomes):
-        super().__init__()
+        super().__init__(JobPool())
         self._outcomes = outcomes
 
     def _run_batch(self, specs):
@@ -541,14 +542,15 @@ class TestChaosRecovery:
             dataset.trace, whois=dataset.whois, redirects=dataset.redirects
         )
 
-    @pytest.mark.parametrize("dispatch", ["serial", "pool"])
+    @pytest.mark.parametrize("executor", EXECUTOR_KINDS)
     def test_all_six_kinds_recover_byte_identical(
-        self, dataset, clean_doc, dispatch
+        self, dataset, clean_doc, executor
     ):
         registry = MetricsRegistry()
         config = SmashConfig().replace(
             shards=3,
-            dispatch=dispatch,
+            workers=2,
+            executor=executor,
             fault_plan=FaultPlan.generate(3),
             metrics=registry,
         )
@@ -564,7 +566,6 @@ class TestChaosRecovery:
         registry = MetricsRegistry()
         config = SmashConfig().replace(
             shards=3,
-            dispatch="serial",
             shard_retries=1,
             fault_plan=FaultPlan((FaultSpec(shard=1, kind="crash_before_spill"),)),
             metrics=registry,
@@ -579,7 +580,6 @@ class TestChaosRecovery:
     ):
         config = SmashConfig().replace(
             shards=3,
-            dispatch="serial",
             fault_plan=FaultPlan((FaultSpec(shard=0, kind="corrupt_source"),)),
         )
         with pytest.raises(StreamError, match="injected corrupt source"):
@@ -600,7 +600,6 @@ class TestChaosRecovery:
         registry = MetricsRegistry()
         config = SmashConfig().replace(
             shards=2,
-            dispatch="serial",
             fault_plan=FaultPlan((FaultSpec(shard=0, kind="stream_error", attempt=1),)),
             metrics=registry,
         )
@@ -608,16 +607,6 @@ class TestChaosRecovery:
         spans = registry.spans_named("pipeline.mine.shard_attempt")
         kinds = sorted(span.attributes["kind"] for span in spans)
         assert kinds == ["ok", "ok", "stream_error"]
-
-    def test_engine_accepts_fault_overrides(self):
-        from repro.stream import StreamingSmash
-
-        plan = FaultPlan.generate(2)
-        engine = StreamingSmash(shard_retries=5, shard_timeout=12.0, fault_plan=plan)
-        assert engine.config.shard_retries == 5
-        assert engine.config.shard_timeout == 12.0
-        assert engine.config.fault_plan is plan
-        engine.close()
 
 
 # -- the chaos CLI ------------------------------------------------------------------
@@ -633,7 +622,7 @@ class TestChaosCli:
             [
                 "chaos",
                 "--dispatch",
-                "serial",
+                "pool",
                 "--shards",
                 "2",
                 "--kinds",
@@ -648,6 +637,40 @@ class TestChaosCli:
         assert doc["chaos_digest"] == doc["clean_digest"]
         assert doc["worker_failures"] == 2 and doc["retries"] == 2
 
+    def test_clean_reference_is_the_single_pass(self, tmp_path, monkeypatch):
+        # The clean run of `--shards 1` must be the real single pass (no
+        # map phase), while the faulted run still shards so its plan fires.
+        import repro.cli as cli
+
+        registries = []
+
+        class RecordingPipeline(SmashPipeline):
+            def __init__(self, config):
+                registries.append(config.metrics or MetricsRegistry())
+                super().__init__(config.replace(metrics=registries[-1]))
+
+        monkeypatch.setattr(cli, "SmashPipeline", RecordingPipeline)
+        monkeypatch.chdir(tmp_path)
+        report = tmp_path / "chaos.json"
+        code = cli.main(
+            [
+                "chaos",
+                "--dispatch",
+                "subprocess",
+                "--shards",
+                "1",
+                "--kinds",
+                "crash_before_spill",
+                "--report",
+                str(report),
+            ]
+        )
+        assert code == 0
+        assert json.loads(report.read_text())["worker_failures"] == 1
+        clean, faulted = registries
+        assert clean.spans_named("pipeline.mine.shard_index") == []
+        assert len(faulted.spans_named("pipeline.mine.shard_index")) == 1
+
     def test_fatal_plan_exits_nonzero(self, tmp_path, monkeypatch):
         from repro.cli import main
 
@@ -661,7 +684,7 @@ class TestChaosCli:
             [
                 "chaos",
                 "--dispatch",
-                "serial",
+                "pool",
                 "--shards",
                 "2",
                 "--fault-plan",

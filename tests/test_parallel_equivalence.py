@@ -11,35 +11,44 @@ and executor kinds.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.config import SmashConfig
 from repro.core.pipeline import SECONDARY_GRAPH_BUILDERS, SmashPipeline
 from repro.errors import ConfigError
-from repro.util.parallel import EXECUTOR_KINDS, resolve_workers, run_jobs
+from repro.util.parallel import DISPATCH_KINDS, EXECUTOR_KINDS, JobPool, resolve_workers
+
+
+def _boom(message: str) -> None:
+    raise RuntimeError(message)
 
 
 class TestRunJobs:
-    def test_serial_preserves_order(self):
-        jobs = [lambda i=i: i * i for i in range(5)]
-        assert run_jobs(jobs) == [0, 1, 4, 9, 16]
+    """``JobPool.run``: one batch of jobs, results in job order."""
 
-    def test_thread_pool_preserves_order(self):
-        jobs = [lambda i=i: i * i for i in range(5)]
-        assert run_jobs(jobs, workers=3, executor="thread") == [0, 1, 4, 9, 16]
+    def test_serial_preserves_order(self):
+        with JobPool() as pool:
+            assert pool.run([partial(pow, i, 2) for i in range(5)]) == [0, 1, 4, 9, 16]
+
+    def test_process_pool_preserves_order(self):
+        with JobPool(workers=3, executor="process") as pool:
+            assert pool.parallel
+            assert pool.run([partial(pow, i, 2) for i in range(5)]) == [0, 1, 4, 9, 16]
 
     def test_exception_propagates(self):
-        def boom():
-            raise RuntimeError("job failed")
-
-        with pytest.raises(RuntimeError, match="job failed"):
-            run_jobs([boom], workers=2, executor="thread")
-        with pytest.raises(RuntimeError, match="job failed"):
-            run_jobs([boom, boom], workers=2, executor="thread")
+        for executor in EXECUTOR_KINDS:
+            with JobPool(workers=2, executor=executor) as pool:
+                with pytest.raises(RuntimeError, match="job failed"):
+                    pool.run([partial(_boom, "job failed")])
+                with pytest.raises(RuntimeError, match="job failed"):
+                    pool.run([partial(_boom, "job failed"), partial(_boom, "job failed")])
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_jobs([], workers=2, executor="fibers")
+        for executor in ("fibers", "thread"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                JobPool(workers=2, executor=executor)
 
     def test_resolve_workers(self):
         assert resolve_workers(3) == 3
@@ -57,7 +66,20 @@ class TestConfigValidation:
             SmashConfig(executor="fibers").validate()
 
     def test_executor_kinds_exposed(self):
-        assert EXECUTOR_KINDS == ("serial", "thread", "process")
+        assert EXECUTOR_KINDS == ("serial", "process")
+        assert DISPATCH_KINDS == ("pool", "subprocess")
+
+    def test_serial_is_the_default_executor(self):
+        assert SmashConfig().executor == "serial"
+        assert SmashConfig().dispatch == "pool"
+
+    def test_thread_executor_rejected(self):
+        with pytest.raises(ConfigError, match="executor"):
+            SmashConfig(executor="thread").validate()
+
+    def test_serial_dispatch_rejected(self):
+        with pytest.raises(ConfigError, match="dispatch"):
+            SmashConfig(dispatch="serial").validate()
 
 
 class TestRegistry:
@@ -84,9 +106,9 @@ def test_trace_pickles_without_index_caches(small_dataset):
 
 
 class TestParallelEquivalence:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_mine_workers_match_serial(self, small_dataset, small_mined, executor):
-        """workers=4 on either pool reproduces the serial MinedDimensions."""
+        """workers=4 on a process pool reproduces the serial MinedDimensions."""
         config = SmashConfig(workers=4, executor=executor)
         parallel = SmashPipeline(config).mine(small_dataset.trace, whois=small_dataset.whois)
         assert parallel.main == small_mined.main  # includes graph equality
@@ -98,7 +120,7 @@ class TestParallelEquivalence:
         self, small_dataset, small_result
     ):
         """The full SmashResult is equal field-for-field after parallel mine."""
-        config = SmashConfig(workers=4, executor="thread")
+        config = SmashConfig(workers=4, executor="process")
         pipeline = SmashPipeline(config)
         result = pipeline.run(
             small_dataset.trace,
@@ -113,12 +135,11 @@ class TestParallelEquivalence:
         with pytest.raises(ConfigError):
             SmashPipeline(SmashConfig().replace(workers=-1))
 
-    def test_streaming_engine_accepts_worker_overrides(self, small_dataset):
+    def test_streaming_process_pool_matches_serial(self, small_dataset):
         from repro.stream import StreamingSmash
 
         serial = StreamingSmash()
-        parallel = StreamingSmash(workers=2, executor="thread")
-        assert parallel.config.workers == 2
+        parallel = StreamingSmash(config=SmashConfig(workers=2, executor="process"))
         first = serial.ingest_dataset(small_dataset)
         second = parallel.ingest_dataset(small_dataset)
         assert first.result == second.result

@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -183,14 +184,16 @@ class TestJobPool:
             assert pool.run([lambda i=i: i * i for i in range(5)]) == [0, 1, 4, 9, 16]
 
     def test_pool_reused_across_batches(self):
-        with JobPool(workers=2, executor="thread") as pool:
-            first = pool.run([lambda: "a", lambda: "b"])
-            second = pool.run([lambda: "c"])
+        with JobPool(workers=2, executor="process") as pool:
+            first = pool.run([partial(str, "a"), partial(str, "b")])
+            started = pool._pool
+            second = pool.run([partial(str, "c"), partial(str, "d")])
+            assert pool._pool is started is not None
         assert first == ["a", "b"]
-        assert second == ["c"]
+        assert second == ["c", "d"]
 
     def test_empty_batch(self):
-        with JobPool(workers=2, executor="thread") as pool:
+        with JobPool(workers=2, executor="process") as pool:
             assert pool.run([]) == []
 
 
@@ -270,6 +273,16 @@ class TestMineEquivalence:
         config = SmashConfig().replace(shards=2, dispatch="subprocess")
         dispatched = SmashPipeline(config).run(dataset.trace, **kwargs)
         assert result_doc(dispatched) == result_doc(base)
+
+    def test_subprocess_dispatch_alone_does_not_shard(self, dataset):
+        # dispatch says where map jobs run, not whether there are any:
+        # at shards=1 the mine is the plain single pass and no worker
+        # process is spawned.
+        config = SmashConfig().replace(dispatch="subprocess")
+        with SmashPipeline(config) as pipeline:
+            mined = pipeline.mine(dataset.trace, whois=dataset.whois)
+            assert type(mined.trace) is HttpTrace
+            assert pipeline._subprocess is None
 
     def test_out_of_core_trace_is_index_only(self, dataset):
         config = SmashConfig().replace(shards=2, out_of_core=True)
@@ -659,7 +672,9 @@ class TestStreamEquivalence:
     @staticmethod
     def _stream_three_days(tmp_path, label: str, shards: int):
         store_dir = tmp_path / f"store_{label}"
-        engine = StreamingSmash(window_size=2, shards=shards, store_dir=store_dir)
+        engine = StreamingSmash(
+            window_size=2, store_dir=store_dir, config=SmashConfig().replace(shards=shards)
+        )
         generator = TraceGenerator(small_scenario(seed=7, days=3))
         docs = []
         for dataset in generator.iter_days():
@@ -679,11 +694,9 @@ class TestStreamEquivalence:
 
     def test_out_of_core_stream_byte_identical_and_spill_cleaned(self, tmp_path):
         base_docs, _ = self._stream_three_days(tmp_path, "base", 1)
-        config = SmashConfig().replace(out_of_core=True)
+        config = SmashConfig().replace(out_of_core=True, shards=4)
         store_dir = tmp_path / "store_ooc"
-        engine = StreamingSmash(
-            window_size=2, shards=4, store_dir=store_dir, config=config
-        )
+        engine = StreamingSmash(window_size=2, store_dir=store_dir, config=config)
         docs = []
         for dataset in TraceGenerator(small_scenario(seed=7, days=3)).iter_days():
             docs.append(result_doc(engine.ingest_dataset(dataset).result))
@@ -699,10 +712,10 @@ class TestStreamEquivalence:
         # The pipeline's worker pool spawns on the first advance and
         # serves every later one; close() reaps it.
         base_docs, _ = self._stream_three_days(tmp_path, "base", 1)
-        config = SmashConfig().replace(out_of_core=True, dispatch="subprocess", workers=2)
-        engine = StreamingSmash(
-            window_size=2, shards=2, store_dir=tmp_path / "store_sub", config=config
+        config = SmashConfig().replace(
+            out_of_core=True, dispatch="subprocess", workers=2, shards=2
         )
+        engine = StreamingSmash(window_size=2, store_dir=tmp_path / "store_sub", config=config)
         docs, pids = [], []
         for dataset in TraceGenerator(small_scenario(seed=7, days=3)).iter_days():
             docs.append(result_doc(engine.ingest_dataset(dataset).result))
